@@ -3,8 +3,8 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test test-sharded test-kernel test-harness test-service \
-  test-fleet test-obs doctest bench bench-smoke bench-kernel \
-  bench-service bench-guard lint check
+  test-fleet test-obs test-perfbench doctest bench bench-smoke \
+  bench-kernel bench-service bench-guard lint check
 
 # Tier-1 suite (includes the doctest run over the documented public
 # surface and the ~1 s bench smoke in tests/test_docs_and_bench_smoke.py).
@@ -63,6 +63,18 @@ test-obs:
 	  tests/fleet/test_fleet_obs.py tests/fleet/test_fleet_clock.py \
 	  tests/store/test_store_claims.py -q
 
+# The end-to-end benchmark's own tests (~30 s; not collected by the
+# tier-1 run): every workload at smoke size with its output checks.
+# The selftests run tiny CDAGs, so a 1 s full-size `sandwich` run at
+# seed 0 follows: its first round checks the pinned seed-0 bound and
+# game figures, and the target fails unless the run reports correct.
+test-perfbench:
+	python3 -m pytest perfbench/selftest.py -q
+	python3 perfbench/run.py --workload sandwich --seed 0 --seconds 1 \
+	  --trace 0 | tail -n 1 | python3 -c "import json, sys; \
+	  r = json.loads(sys.stdin.read()); print(r); \
+	  sys.exit(0 if r['correct'] else 1)"
+
 # Standalone doctest pass over the documented modules.
 doctest:
 	$(PY) -m pytest --doctest-modules \
@@ -99,8 +111,8 @@ bench-kernel:
 	  --benchmark-disable
 
 # CI bench-regression guard: smoke-measure into a scratch json and fail
-# on >3x regressions of the movelog/sched/strategy/service/fleet
-# entries.
+# on >3x regressions of the movelog/sched/strategy/service/fleet/
+# wavefront entries.
 bench-guard:
 	$(PY) benchmarks/check_bench.py
 

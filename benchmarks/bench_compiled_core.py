@@ -30,6 +30,7 @@ import tracemalloc
 
 import pytest
 
+from repro.algorithms import cg_iteration_cdag
 from repro.bounds.mincut import (
     automated_wavefront_bound,
     heuristic_wavefront_candidates,
@@ -222,6 +223,32 @@ def test_bench_wavefront_bound():
     emit(
         "Automated wavefront bound, cold solver cache "
         f"(1D Jacobi, {MAX_CANDIDATES} candidates)\n" + "\n".join(rows)
+    )
+
+
+def test_bench_wavefront_bound_cg():
+    """The CG iteration at the default 32 candidates: its dot-product
+    roots share one large wavefront, so the canonical-cut prune skips
+    the max-flow of almost every candidate (measured in smoke mode too,
+    for the bench guard)."""
+    cdag = cg_iteration_cdag((8, 8), 2)
+
+    def bound_fresh():
+        cdag._compiled = None  # force split-graph rebuild each op
+        return automated_wavefront_bound(cdag, s=16)
+
+    ns = time_ns_per_op(bound_fresh, repeat=3)
+    b = bound_fresh()
+    record_bench(
+        "wavefront/cg_8x8_2",
+        ns_per_op=ns,
+        wavefront=b.wavefront,
+        num_vertices=cdag.num_vertices(),
+    )
+    emit(
+        "Automated wavefront bound, cold solver cache (CG 8x8, 2 "
+        f"iterations, 32 candidates)\n  bound={ns/1e6:8.2f} ms  "
+        f"w={b.wavefront}"
     )
 
 

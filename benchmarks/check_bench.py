@@ -8,17 +8,19 @@ value and fails on more-than-``THRESHOLD``-fold regressions.
 
 Guarded prefixes: ``movelog/``, ``sched/``, ``strategy/`` (which
 includes the ``strategy/sharded_*`` multiprocess-runner entries and the
-``strategy/kernel_*`` fused-kernel entries) and ``service/`` (the
+``strategy/kernel_*`` fused-kernel entries), ``service/`` (the
 artifact-store warm/cold paths and bound-server latencies from
-``bench_service.py``) and ``fleet/`` (controller HTTP latencies and
-the two-worker sweep overhead from ``bench_fleet.py``) — the hot-path
-numbers the compiled backend,
-columnar log, batched/sharded/kernel strategy loops, and memoized
-service exist for.  Only keys present in both files are compared
-(smoke mode measures the smallest sizes; committed entries at other
-sizes are informational), but every *required group* must overlap in at
-least one key — a refactor that silently stops measuring the sharded
-runner (or any other group) fails the guard instead of shrinking it.
+``bench_service.py``), ``fleet/`` (controller HTTP latencies and the
+two-worker sweep overhead from ``bench_fleet.py``) and ``wavefront/``
+(the automated Lemma 2 bound on 1D Jacobi and on CG, where the
+canonical-cut prune skips the most max-flows) — the hot-path numbers
+the compiled backend, columnar log, batched/sharded/kernel strategy
+loops, memoized service and pruned bound search exist for.  Only keys
+present in both files are compared (smoke mode measures the smallest
+sizes; committed entries at other sizes are informational), but every
+*required group* must overlap in at least one key — a refactor that
+silently stops measuring the sharded runner (or any other group) fails
+the guard instead of shrinking it.
 The threshold is deliberately loose (3x) because CI machines are slower
 and noisier than the reference container: the guard catches algorithmic
 regressions (accidental O(n) scans, dropped caches), not percent-level
@@ -51,7 +53,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 COMMITTED = REPO / "BENCH_core.json"
 GUARDED_PREFIXES = (
-    "movelog/", "sched/", "strategy/", "service/", "fleet/"
+    "movelog/", "sched/", "strategy/", "service/", "fleet/", "wavefront/"
 )
 #: each of these prefixes must overlap the baseline in >= 1 entry
 REQUIRED_GROUPS = (
@@ -66,6 +68,8 @@ REQUIRED_GROUPS = (
     "fleet/",
     "fleet/sweep_",
     "fleet/metrics_scrape",
+    "wavefront/",
+    "wavefront/cg_",
 )
 THRESHOLD = float(os.environ.get("BENCH_GUARD_THRESHOLD", "3.0"))
 

@@ -173,36 +173,11 @@ def automated_wavefront_bound(
     candidate's bound is individually valid, taking the maximum is valid;
     the heuristic only affects tightness, never soundness.
 
-    Candidates are evaluated best-score-first against one shared
-    :class:`~repro.core.properties.WavefrontSolver` network, with two
-    sound prunes layered on top: sink candidates contribute a wavefront
-    of exactly 1, and a candidate whose ancestor count satisfies
-    ``|Anc(x)| + 1 <= best`` cannot improve on ``best`` (the canonical
-    convex cut ``S = {x} ∪ Anc(x)`` witnesses ``|W^min(x)| <= |Anc(x)|+1``),
-    so its max-flow is skipped entirely.
+    The candidates go to :func:`~repro.core.properties.max_min_wavefront`
+    in heuristic-score order, so the reported vertex is the best-scored
+    one of maximum wavefront; its canonical-cut prune skips the max-flow
+    of every candidate that provably cannot beat the incumbent.
     """
-    ids = _candidate_ids(cdag, max_candidates)
-    if not ids:
-        return MinCutBound(
-            value=max(0.0, -2.0 * s), wavefront=0, s=s, vertex=None
-        )
-    c = cdag.compiled()
-    solver = c.wavefront_solver()
-    out_degree = c.out_degree
-    best = 0
-    best_vertex = None
-    for i in ids:
-        if out_degree[i] == 0:
-            w = 1  # sinks: the minimum over valid cuts is {x} itself
-        else:
-            anc = c.ancestors_ids(i)
-            if best > 0 and anc.size + 1 <= best:
-                continue  # upper bound can't beat the incumbent
-            w = solver.min_wavefront_id(i, anc=anc)
-        if w > best:
-            best = w
-            best_vertex = c.vertex(i)
-    return MinCutBound(
-        value=max(0.0, 2.0 * (best - s)), wavefront=best, s=s,
-        vertex=best_vertex,
+    return best_wavefront_lower_bound(
+        cdag, s, heuristic_wavefront_candidates(cdag, max_candidates)
     )

@@ -54,6 +54,8 @@ __all__ = [
     "WavefrontSolver",
     "min_wavefront",
     "min_wavefront_rebuild",
+    "canonical_cut_wavefronts",
+    "wavefront_upper_bound",
     "max_min_wavefront",
     "schedule_wavefronts",
     "max_schedule_wavefront",
@@ -193,6 +195,9 @@ def _split_graph_csr(c: CompiledCDAG, internal_caps: np.ndarray):
       (activated per query);
     * row ``2n+1`` (sink): empty.
 
+    All arrays are int32 — the dtype scipy's ``maximum_flow`` works in —
+    so no query pays an ``astype`` copy of the network.
+
     Returns ``(indptr, indices, data, src_pos, sink_pos, internal_pos)``
     where the three position arrays index ``data`` slots of the
     source->in(v), out(v)->sink and in(v)->out(v) arcs of each vertex.
@@ -202,34 +207,37 @@ def _split_graph_csr(c: CompiledCDAG, internal_caps: np.ndarray):
     inf = n + 1
     nnz = 2 * n + m + n  # internal + sink arcs + edge arcs + source arcs
 
-    out_deg = c.out_degree
-    row_len = np.empty(2 * n + 2, dtype=np.int64)
+    row_len = np.empty(2 * n + 2, dtype=np.int32)
     row_len[0 : 2 * n : 2] = 1  # in(v) rows
-    row_len[1 : 2 * n : 2] = out_deg + 1  # out(v) rows (+ sink arc)
+    row_len[1 : 2 * n : 2] = c.out_degree + 1  # out(v) rows (+ sink arc)
     row_len[2 * n] = n  # source row
     row_len[2 * n + 1] = 0  # sink row
-    indptr = np.concatenate(([0], np.cumsum(row_len)))
+    indptr = np.zeros(2 * n + 3, dtype=np.int32)
+    np.cumsum(row_len, out=indptr[1:])
 
     indices = np.empty(nnz, dtype=np.int32)
-    data = np.zeros(nnz, dtype=np.int64)
+    data = np.zeros(nnz, dtype=np.int32)
 
     internal_pos = indptr[0 : 2 * n : 2]  # row 2v has exactly one slot
     indices[internal_pos] = 2 * np.arange(n, dtype=np.int32) + 1
     data[internal_pos] = internal_caps
 
-    # out(v) rows: successors (sorted ids -> sorted columns) then the sink.
+    # out(v) rows: successors in ascending id order, then the sink.  The
+    # edge sources are non-decreasing, so sorting by (source, target)
+    # keeps edge k in row edge_sources[k], at slot k - succ_indptr[v].
+    src = c.edge_sources
+    by_target = np.lexsort((c.succ_indices, src))
+    edge_pos = indptr[2 * src + 1] + (
+        np.arange(m, dtype=np.int64) - c.succ_indptr[src]
+    )
+    indices[edge_pos] = 2 * c.succ_indices[by_target]
+    data[edge_pos] = inf
     sink_pos = indptr[2 : 2 * n + 2 : 2] - 1  # last slot of each out-row
-    for v in range(n):
-        start = indptr[2 * v + 1]
-        succ = np.sort(c.successors_ids(v))
-        indices[start : start + succ.size] = 2 * succ
-        data[start : start + succ.size] = inf
     indices[sink_pos] = 2 * n + 1
     # data[sink_pos] stays 0 until a query activates it.
 
     # Source row: in(v) for every v, ascending.
-    src_start = indptr[2 * n]
-    src_pos = src_start + np.arange(n, dtype=np.int64)
+    src_pos = indptr[2 * n] + np.arange(n, dtype=np.int64)
     indices[src_pos] = 2 * np.arange(n, dtype=np.int32)
     # data[src_pos] stays 0 until a query activates it.
 
@@ -334,14 +342,17 @@ class WavefrontSolver:
             (
                 indptr,
                 indices,
-                self._data,
+                data,
                 self._src_pos,
                 self._sink_pos,
                 self._internal_pos,
-            ) = _split_graph_csr(compiled, np.ones(n, dtype=np.int64))
+            ) = _split_graph_csr(compiled, np.ones(n, dtype=np.int32))
             self._graph = _csr_matrix(
-                (self._data, indices, indptr), shape=(2 * n + 2, 2 * n + 2)
+                (data, indices, indptr), shape=(2 * n + 2, 2 * n + 2)
             )
+            self._graph.has_sorted_indices = True  # by construction
+            # Queries toggle capacities in place on the matrix's own array.
+            self._data = self._graph.data
             self._base = None
         else:  # hoisted networkx fallback: base graph built once
             g = nx.DiGraph()
@@ -504,6 +515,73 @@ def min_wavefront_rebuild(cdag: CDAG, x: Vertex) -> int:
     return int(cut_value)
 
 
+def _count_distinct_sorted(a: np.ndarray) -> int:
+    """Number of distinct values in the non-decreasing array ``a``."""
+    return int(a.size and 1 + np.count_nonzero(a[1:] != a[:-1]))
+
+
+def _canonical_cut_ids(
+    c: CompiledCDAG, x: int, anc: np.ndarray, desc: np.ndarray
+) -> Tuple[int, int]:
+    """Wavefront sizes of the two canonical convex cuts of vertex id ``x``.
+
+    The first cut puts ``S = {x} ∪ Anc(x)``, the second puts
+    ``S = V \\ Desc(x)``; the wavefront is the set of ``S`` vertices with
+    a successor outside ``S``.  Each is one masked pass over the edge
+    arrays, whose (sorted) source column makes counting distinct tails a
+    neighbour comparison.
+    """
+    src = c.edge_sources
+    dst = c.succ_indices
+    side = np.zeros(c.n, dtype=bool)
+    side[anc] = True
+    side[x] = True
+    first = _count_distinct_sorted(src[side[src] & ~side[dst]])
+    side[:] = False
+    side[desc] = True
+    second = _count_distinct_sorted(src[side[dst] & ~side[src]])
+    return first, second
+
+
+def _wavefront_upper_bound_id(c: CompiledCDAG, x: int) -> int:
+    """``ub(x) >= |W^min_G(x)|`` for vertex id ``x``, without a max-flow.
+
+    Both canonical cuts of :func:`_canonical_cut_ids` are valid convex
+    cuts for ``x`` (``{x} ∪ Anc(x)`` on one side, ``Desc(x)`` on the
+    other), so the smaller of their wavefronts bounds the minimum from
+    above; it never exceeds the cruder ``|Anc(x)| + 1``.  Sinks have
+    ``|W^min| = 1`` by convention, so their bound is exact.
+    """
+    desc = c.descendants_ids(x)
+    if desc.size == 0:
+        return 1
+    return min(_canonical_cut_ids(c, x, c.ancestors_ids(x), desc))
+
+
+def canonical_cut_wavefronts(cdag: CDAG, x: Vertex) -> Tuple[int, int]:
+    """Wavefront sizes of ``x``'s two canonical convex cuts.
+
+    The first is ``|wavefront_of_cut({x} ∪ Anc(x))|`` (the cut of
+    :func:`convex_cut_for_vertex`), the second that of the cut with
+    ``T = Desc(x)``.  For a non-sink ``x`` each is ``>= |W^min_G(x)|``.
+    """
+    c = cdag.compiled()
+    i = c.id(x)
+    return _canonical_cut_ids(
+        c, i, c.ancestors_ids(i), c.descendants_ids(i)
+    )
+
+
+def wavefront_upper_bound(cdag: CDAG, x: Vertex) -> int:
+    """A cheap upper bound ``ub(x) >= |W^min_G(x)|`` (no max-flow).
+
+    The smaller of :func:`canonical_cut_wavefronts`, or ``1`` for a sink
+    (whose minimum wavefront is exactly ``{x}``).
+    """
+    c = cdag.compiled()
+    return _wavefront_upper_bound_id(c, c.id(x))
+
+
 def max_min_wavefront(
     cdag: CDAG, candidates: Optional[Iterable[Vertex]] = None
 ) -> Tuple[int, Optional[Vertex]]:
@@ -515,19 +593,35 @@ def max_min_wavefront(
     the caller can restrict the candidate set (e.g. to reduction vertices)
     to keep the cost reasonable; with ``candidates=None`` all vertices are
     tried (fine for the small CDAGs used in tests and validation benches).
-    All candidates share one :class:`WavefrontSolver` network.
+
+    The returned vertex is the *first* candidate (in the given order) of
+    maximum wavefront.  Most max-flows are skipped without changing that
+    answer: candidates are evaluated in decreasing order of the
+    canonical-cut bound :func:`wavefront_upper_bound` (ties in candidate
+    order), and a candidate is skipped when its bound is below the best
+    wavefront found so far, or equal to it while ranking after the
+    incumbent.  A bound of 1 is exact, so it needs no max-flow either.
+    All evaluated candidates share one :class:`WavefrontSolver` network.
     """
-    best = 0
-    best_vertex: Optional[Vertex] = None
     c = cdag.compiled()
-    solver = c.wavefront_solver()
     pool = c.ids_of(candidates) if candidates is not None else range(c.n)
-    for i in pool:
-        w = solver.min_wavefront_id(i)
-        if w > best:
-            best = w
-            best_vertex = c.vertex(i)
-    return best, best_vertex
+    order = sorted(
+        (-_wavefront_upper_bound_id(c, i), rank, i)
+        for rank, i in enumerate(pool)
+    )
+    best = 0
+    best_rank = len(order)
+    best_id: Optional[int] = None
+    for neg_ub, rank, i in order:
+        ub = -neg_ub
+        if ub < best:
+            break  # bounds only fall from here on
+        if ub == best and rank > best_rank:
+            continue  # can at best tie, and ties go to the earlier rank
+        w = ub if ub <= 1 else c.wavefront_solver().min_wavefront_id(i)
+        if w > best or (w == best and rank < best_rank):
+            best, best_rank, best_id = w, rank, i
+    return best, (c.vertex(best_id) if best_id is not None else None)
 
 
 # ----------------------------------------------------------------------

@@ -304,6 +304,14 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True
     service: BoundService
 
+    def process_request_thread(self, request, client_address) -> None:
+        # One thread per connection: hand its store connection back as
+        # the thread ends, or every request would leave one open.
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self.service.store.release_connection()
+
 
 def make_server(
     db_path,

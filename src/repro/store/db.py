@@ -131,11 +131,17 @@ class ArtifactStore:
         erroring — the concurrent-writers knob (WAL makes real
         contention rare and short).
 
-    Connections are per-thread (SQLite objects must not cross threads);
-    the instance itself is thread-safe and is shared by all server
-    worker threads.  ``counters`` tracks process-lifetime traffic:
-    ``hits`` / ``misses`` / ``puts`` / ``corrupt`` / ``flights`` (calls
-    that waited behind an identical in-flight computation).
+    Each thread works on its own connection; the instance itself is
+    thread-safe and is shared by all server worker threads.  A thread
+    that is done with the store (a finished HTTP request thread) hands
+    its connection back with :meth:`release_connection`, which parks up
+    to ``idle_pool_size`` connections for later threads and closes the
+    rest, so a long-lived server holds a bounded number of connections
+    however many request threads it has run.
+
+    ``counters`` tracks process-lifetime traffic: ``hits`` / ``misses``
+    / ``puts`` / ``corrupt`` / ``flights`` (calls that waited behind an
+    identical in-flight computation).
 
     ``metrics`` / ``events`` optionally bind the store to an
     observability registry and event ring (:mod:`repro.obs`): every
@@ -145,6 +151,9 @@ class ArtifactStore:
     corruption recoveries / claim takeovers become events too.  A host
     server can also attach after construction via :meth:`bind_obs`.
     """
+
+    #: released connections kept open for reuse by later threads
+    idle_pool_size = 4
 
     def __init__(
         self,
@@ -169,6 +178,7 @@ class ArtifactStore:
         self._owner = f"{os.getpid()}-{uuid.uuid4().hex[:12]}"
         self._local = threading.local()
         self._all_conns = []
+        self._idle_conns = []
         self._conns_mu = threading.Lock()
         self._counter_mu = threading.Lock()
         self._flight = _SingleFlight()
@@ -193,8 +203,21 @@ class ArtifactStore:
         conn = getattr(self._local, "conn", None)
         if conn is not None:
             return conn
+        with self._conns_mu:
+            conn = self._idle_conns.pop() if self._idle_conns else None
+        if conn is None:
+            conn = self._open_conn()
+            with self._conns_mu:
+                self._all_conns.append(conn)
+        self._local.conn = conn
+        return conn
+
+    def _open_conn(self) -> sqlite3.Connection:
+        # check_same_thread=False: a released connection may be picked up
+        # by another thread; only one thread ever holds it at a time.
         conn = sqlite3.connect(
-            str(self.path), timeout=self.busy_timeout_s
+            str(self.path), timeout=self.busy_timeout_s,
+            check_same_thread=False,
         )
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
@@ -207,15 +230,36 @@ class ArtifactStore:
             ("schema", STORE_SCHEMA_VERSION),
         )
         conn.commit()
-        self._local.conn = conn
-        with self._conns_mu:
-            self._all_conns.append(conn)
         return conn
+
+    def release_connection(self) -> None:
+        """Detach the calling thread's connection, if it has one.
+
+        The connection joins the idle pool (up to ``idle_pool_size``) for
+        the next thread that needs one, or is closed.  Call it when a
+        thread that used the store is about to end; the thread may still
+        use the store afterwards, it just gets a connection again.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            return
+        self._local.conn = None
+        with self._conns_mu:
+            if conn not in self._all_conns:
+                return  # the store was closed meanwhile
+            if conn.in_transaction:  # never hand on a half-done write
+                conn.rollback()
+            if len(self._idle_conns) < self.idle_pool_size:
+                self._idle_conns.append(conn)
+                return
+            self._all_conns.remove(conn)
+        conn.close()
 
     def close(self) -> None:
         """Close every connection this store opened (all threads)."""
         with self._conns_mu:
             conns, self._all_conns = self._all_conns, []
+            self._idle_conns = []
         for conn in conns:
             try:
                 conn.close()

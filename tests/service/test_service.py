@@ -2,6 +2,7 @@
 contracts, error mapping, concurrent single-flight behavior, and two
 clients sharing one store."""
 
+import os
 import threading
 
 import pytest
@@ -179,3 +180,71 @@ class TestConcurrency:
         assert warm["cached"] is True
         assert warm["value"] == cold["value"]
         assert warm["key"] == cold["key"]
+
+
+class TestConnectionLifetime:
+    def test_request_threads_leave_no_connections_behind(self, server,
+                                                         client):
+        """Every request runs on its own thread; each must hand its store
+        connection back, so fds and open connections stay flat."""
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):
+            pytest.skip("needs /proc/self/fd to count open files")
+        store = server.service.store
+
+        def traffic(n):
+            for _ in range(n):
+                client.bound(builder="chain", params={"length": 8}, s=2)
+                client.stats()
+
+        traffic(5)
+        fds = len(os.listdir(fd_dir))
+        conns = len(store._all_conns)
+        traffic(60)  # 120 request threads
+        # Releases land after the response, so a few requests may
+        # overlap and park spare connections in the idle pool.
+        assert len(store._all_conns) <= conns + store.idle_pool_size
+        assert len(os.listdir(fd_dir)) <= fds + 3 * store.idle_pool_size
+
+    def test_released_connection_is_reused_across_threads(self, tmp_path):
+        from repro.store.db import ArtifactStore
+
+        with ArtifactStore(tmp_path / "s.db") as store:
+            key = "cd" * 32
+            store.put(key, b"bytes", kind="bound")
+
+            def use_and_release():
+                assert store.get(key) == b"bytes"
+                store.release_connection()
+
+            for _ in range(10):
+                t = threading.Thread(target=use_and_release)
+                t.start()
+                t.join(10.0)
+            # the constructing thread's connection plus one pooled one
+            assert len(store._all_conns) == 2
+            assert len(store._idle_conns) == 1
+
+    def test_release_after_close_is_a_no_op(self, tmp_path):
+        from repro.store.db import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "s.db")
+        got, closed, errors = threading.Event(), threading.Event(), []
+
+        def request_thread():
+            try:
+                store.get("ef" * 32)
+                got.set()
+                closed.wait(10.0)
+                store.release_connection()  # server shut down meanwhile
+            except Exception as exc:  # pragma: no cover - diagnostics
+                errors.append(exc)
+
+        t = threading.Thread(target=request_thread)
+        t.start()
+        got.wait(10.0)
+        store.close()
+        closed.set()
+        t.join(10.0)
+        assert not errors
+        assert store._all_conns == [] and store._idle_conns == []
