@@ -2,7 +2,7 @@
 # CI (.github/workflows/ci.yml) calls these same targets, one per job.
 PY := PYTHONPATH=src python
 
-.PHONY: test test-sharded test-kernel test-harness test-service \
+.PHONY: test test-kernel test-harness test-service \
   test-fleet test-obs test-perfbench doctest bench bench-smoke \
   bench-kernel bench-service bench-guard lint check
 
@@ -11,20 +11,12 @@ PY := PYTHONPATH=src python
 test:
 	$(PY) -m pytest -x -q
 
-# Sharded-runner smoke: the workers=2 differential + lifecycle suites
-# (spawns real process pools; its own CI step so a pool/teardown
-# regression is named in the job list).
-test-sharded:
-	$(PY) -m pytest tests/pebbling/test_sharded_strategies.py \
-	  tests/pebbling/test_movelog_merge_properties.py -q
-
 # Kernel-backend differential suites (numpy tier by default; CI's numba
 # matrix arm runs this with numba installed and REPRO_KERNEL=numba so
 # the jitted planner is pinned move-for-move too).
 test-kernel:
 	$(PY) -m pytest tests/pebbling/test_kernel_backend.py \
-	  tests/pebbling/test_spill_strategies.py \
-	  tests/pebbling/test_sharded_strategies.py -q
+	  tests/pebbling/test_spill_strategies.py -q
 
 # Manifest-driven harness suites: the crash/resume differential test
 # (SIGKILL a 4-cell smoke grid mid-run, resume, byte-compare against an

@@ -7,19 +7,18 @@ measured ``ns_per_op`` of every guarded entry against the committed
 value and fails on more-than-``THRESHOLD``-fold regressions.
 
 Guarded prefixes: ``movelog/``, ``sched/``, ``strategy/`` (which
-includes the ``strategy/sharded_*`` multiprocess-runner entries and the
-``strategy/kernel_*`` fused-kernel entries), ``service/`` (the
+includes the ``strategy/kernel_*`` fused-kernel entries), ``service/`` (the
 artifact-store warm/cold paths and bound-server latencies from
 ``bench_service.py``), ``fleet/`` (controller HTTP latencies and the
 two-worker sweep overhead from ``bench_fleet.py``) and ``wavefront/``
 (the automated Lemma 2 bound on 1D Jacobi and on CG, where the
 canonical-cut prune skips the most max-flows) — the hot-path numbers
-the compiled backend, columnar log, batched/sharded/kernel strategy
+the compiled backend, columnar log, batched/kernel strategy
 loops, memoized service and pruned bound search exist for.  Only keys
 present in both files are compared (smoke mode measures the smallest
 sizes; committed entries at other sizes are informational), but every
 *required group* must overlap in at least one key — a refactor that
-silently stops measuring the sharded runner (or any other group) fails
+silently stops measuring the kernel backend (or any other group) fails
 the guard instead of shrinking it.
 The threshold is deliberately loose (3x) because CI machines are slower
 and noisier than the reference container: the guard catches algorithmic
@@ -61,7 +60,6 @@ REQUIRED_GROUPS = (
     "movelog/spill_roundtrip_",
     "sched/",
     "strategy/",
-    "strategy/sharded_",
     "strategy/kernel_",
     "service/",
     "service/compiled_warm_",

@@ -20,7 +20,7 @@ Experiments
 * E8 — Simulated-cluster measurements vs the parallel bounds.
 * E9 — Balance-condition sweep across algorithms x machines x levels.
 * Spill — strategy pebble games on synthetic workloads (the
-  ``workload x policy x backend x workers`` axes of the harness grid).
+  ``workload x policy x backend`` axes of the harness grid).
 
 Seeds
 -----
@@ -456,8 +456,7 @@ def experiment_balance_conditions(
 
 
 # ----------------------------------------------------------------------
-# Spill-strategy games (harness grid axes: workload x policy x backend
-# x workers)
+# Spill-strategy games (harness grid axes: workload x policy x backend)
 # ----------------------------------------------------------------------
 def experiment_spill_strategies(
     workload: str = "star",
@@ -470,15 +469,16 @@ def experiment_spill_strategies(
     component_size: int = 12,
     policy: str = "lru",
     backend: str = "batched",
-    workers: int = 1,
     seed: int = 0,
 ) -> List[Dict[str, object]]:
     """Play one complete spill-strategy game and report its move/I/O row.
 
     This is the driver behind the harness's spill cells: every strategy
-    axis (``policy``, ``backend`` incl. ``kernel``, ``workers`` incl.
-    the sharded multiprocess runner) is a first-class parameter, so one
-    grid sweeps the whole strategy engine.  Workloads:
+    axis (``policy``, ``backend`` incl. ``kernel``) is a first-class
+    parameter, so one grid sweeps the whole strategy engine.  ``policy``
+    selects the sequential eviction rule (``chains``, ``forest``); the
+    P-RBW owner-computes strategy of ``star`` always evicts LRU, and
+    accepts no ``backend="kernel"``.  Workloads:
 
     * ``"star"`` — owner-computes P-RBW hierarchy walk
       (:func:`~repro.pebbling.workloads.star_spill_setup`);
@@ -491,7 +491,7 @@ def experiment_spill_strategies(
       identical game.
     """
     from ..core.ordering import dfs_schedule
-    from ..pebbling.sharded import run_spill_game
+    from ..pebbling.strategies import run_spill_game
     from ..pebbling.workloads import (
         chains_spill_setup,
         component_forest_cdag,
@@ -505,8 +505,7 @@ def experiment_spill_strategies(
         snapshot_seed = 0
     elif workload == "chains":
         cdag, memory = chains_spill_setup(chains, length, num_red)
-        # Chain-major (DFS) order keeps each chain contiguous, which is
-        # what lets the sharded runner split the shared fast memory.
+        # Chain-major (DFS) order keeps each chain contiguous.
         schedule = dfs_schedule(cdag)
         snapshot_params = {"chains": chains, "length": length}
         snapshot_seed = 0
@@ -545,7 +544,6 @@ def experiment_spill_strategies(
         schedule=schedule,
         policy=policy,
         backend=backend,
-        workers=workers,
     )
     summary = record.summary()
     return [
@@ -553,7 +551,6 @@ def experiment_spill_strategies(
             "workload": workload,
             "policy": policy,
             "backend": backend,
-            "workers": workers,
             "seed": seed,
             "num_vertices": cdag.num_vertices(),
             "num_edges": cdag.num_edges(),

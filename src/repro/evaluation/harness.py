@@ -245,7 +245,6 @@ def _run_spill(p: Mapping, seed: int) -> List[Dict]:
         component_size=int(p["component_size"]),
         policy=p["policy"],
         backend=p["backend"],
-        workers=int(p["workers"]),
         seed=seed,
     )
 
@@ -314,7 +313,6 @@ REGISTRY: Dict[str, ExperimentDef] = {
             "component_size": 12,
             "policy": "lru",
             "backend": "batched",
-            "workers": 1,
         },
     ),
 }
@@ -356,23 +354,25 @@ def make_spec(
 def _spill_label(params: Mapping, seed: int) -> str:
     return (
         f"spill_{params['workload']}_{params['policy']}_"
-        f"{params['backend']}_w{params['workers']}_s{seed}"
+        f"{params['backend']}_s{seed}"
     )
 
 
 def default_grid(seed: int = 0) -> List[RunSpec]:
     """The full sweep: all nine paper experiments at their registry
-    defaults plus a spill axis product over workload x policy x backend
-    (plus one sharded and one seeded-forest cell)."""
+    defaults plus a policy x backend product on the sequential ``chains``
+    spill workload, one P-RBW ``star`` cell and one seeded-forest cell.
+
+    ``star`` gets a single cell: P-RBW has no eviction-policy choice and
+    no ``kernel`` backend, so more cells would replay the same game."""
     specs = [make_spec(name, seed=seed) for name in
              ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9")]
-    spill_axes: List[Dict] = [
-        {"workload": w, "policy": p, "backend": b}
-        for w in ("star", "chains")
+    spill_axes: List[Dict] = [{"workload": "star"}]
+    spill_axes += [
+        {"workload": "chains", "policy": p, "backend": b}
         for p in ("lru", "belady")
         for b in ("batched", "kernel")
     ]
-    spill_axes.append({"workload": "star", "workers": 2})
     spill_axes.append({"workload": "forest"})
     for overrides in spill_axes:
         spec = make_spec("spill", overrides, seed=seed)

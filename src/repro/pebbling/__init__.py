@@ -8,10 +8,8 @@
   horizontal data movement.
 * Strategies (:mod:`repro.pebbling.strategies`) produce complete games —
   upper bounds on I/O — from schedules and owner-computes assignments.
-* :func:`run_spill_game` is the unified strategy entry point; with
-  ``workers=N`` it shards independent per-processor subgames across a
-  process pool (:class:`ShardedStrategyRunner`) and merges the shard
-  logs into one canonical, move-for-move-faithful record.
+* :func:`run_spill_game` is the unified strategy entry point: it
+  dispatches to the sequential or the P-RBW strategy by memory model.
 * :func:`optimal_rbw_io` finds the exact optimum on tiny CDAGs by
   uniform-cost search, used to validate the bounds.
 """
@@ -21,16 +19,11 @@ from .optimal import OptimalSearchResult, SearchBudgetExceeded, optimal_rbw_io
 from .parallel import ParallelRBWPebbleGame
 from .rbw import RBWPebbleGame
 from .redblue import RedBluePebbleGame
-from .sharded import (
-    ShardedStrategyRunner,
-    ShardPlan,
-    ShardSpec,
-    run_spill_game,
-)
 from .state import GameError, GameRecord, Move, MoveKind, MoveLog
 from .strategies import (
     contiguous_block_assignment,
     parallel_spill_game,
+    run_spill_game,
     spill_game_rbw,
     spill_game_redblue,
 )
@@ -44,9 +37,6 @@ __all__ = [
     "ParallelRBWPebbleGame",
     "RBWPebbleGame",
     "RedBluePebbleGame",
-    "ShardedStrategyRunner",
-    "ShardPlan",
-    "ShardSpec",
     "run_spill_game",
     "GameError",
     "GameRecord",

@@ -9,7 +9,7 @@ time:
 
 1. **Plan** — a static, schedule-derived description of every macro-step
    (operands, retires, output/self-retire flags) is precomputed with
-   numpy array passes and cached per compiled CDAG.  The only remaining
+   numpy array passes on every call.  The only remaining
    per-move Python work is the *policy decision* (which victim to evict),
    a tight loop over plain ints that emits one packed outcome word per
    operand touch / compute slot — no engine calls, no log appends.
@@ -25,6 +25,9 @@ The same chunked validator drives a replay fast path
 (:func:`replay_sequential_kernel`): a log bound to the engine's compiled
 CDAG is checked rule-for-rule in bulk and bulk-appended, falling back to
 the per-move loop (for its exact diagnostics) only when a chunk fails.
+The P-RBW game has no planner here, only the replay validator
+(:func:`replay_parallel_kernel`); its strategy fast path is the
+``batched`` loop.
 
 Capability probe
 ----------------
@@ -70,7 +73,6 @@ __all__ = [
     "numba_available",
     "sequential_spill_kernel",
     "replay_sequential_kernel",
-    "parallel_spill_kernel",
     "replay_parallel_kernel",
 ]
 
@@ -262,45 +264,13 @@ def _build_seq_plan(c, sched_ids: np.ndarray) -> _SeqPlan:
     return plan
 
 
-# Plan cache for the default (topological) schedule, keyed by the
-# compiled CDAG's identity.  The compiled object is kept alive in the
-# value so its id cannot be reused; explicit schedules are never cached.
-_seq_plan_cache: "OrderedDict[int, tuple]" = OrderedDict()
-_SEQ_PLAN_CACHE_CAP = 8
-_SEQ_PLAN_CACHE_MAX_OPS = 300_000
-
-
-def _seq_plan_for(cdag, c, schedule):
-    """Return ``(plan, cached)`` — ``cached`` is True when the plan
-    lives in the plan cache (and decision memoization may apply)."""
-    if schedule is not None:
+def _seq_plan_for(cdag, c, schedule) -> _SeqPlan:
+    """Build the plan for ``schedule`` (default: topological order)."""
+    if schedule is None:
+        schedule = topological_schedule(cdag)
+    else:
         validate_schedule(cdag, schedule)
-        sched_ids = np.asarray(c.ids_of(schedule), dtype=np.int64)
-        return _build_seq_plan(c, sched_ids), False
-    key = id(c)
-    hit = _seq_plan_cache.get(key)
-    if hit is not None and hit[0] is c:
-        _seq_plan_cache.move_to_end(key)
-        return hit[1], True
-    sched_ids = np.asarray(
-        c.ids_of(topological_schedule(cdag)), dtype=np.int64
-    )
-    plan = _build_seq_plan(c, sched_ids)
-    if plan.nops <= _SEQ_PLAN_CACHE_MAX_OPS:
-        _seq_plan_cache[key] = (c, plan)
-        while len(_seq_plan_cache) > _SEQ_PLAN_CACHE_CAP:
-            _seq_plan_cache.popitem(last=False)
-        return plan, True
-    return plan, False
-
-
-# Decision cache: the planner's packed outcome words are deterministic
-# given (plan, policy, num_red), so repeated runs over a cached plan —
-# bench repeats, parameter sweeps, sharded re-submissions — reuse them
-# and skip straight to splice + rule validation.  Every run still
-# re-validates every move; only the victim-selection loop is memoized.
-_seq_decision_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_SEQ_DECISION_CACHE_CAP = 4
+    return _build_seq_plan(c, np.asarray(c.ids_of(schedule), dtype=np.int64))
 
 
 # ======================================================================
@@ -803,7 +773,7 @@ def _plan_lru_arity1_numba(plan, c, num_red, use_jit=True):
 # ======================================================================
 # Splice: packed outcome words -> move columns
 # ======================================================================
-def _splice_seq(plan, a, b, outcomes, want_marks):
+def _splice_seq(plan, a, b, outcomes):
     """Expand one chunk of outcome words into (kinds, vids) columns."""
     o = np.asarray(outcomes, dtype=np.int64)
     s0 = int(plan.seg_indptr[a])
@@ -846,8 +816,7 @@ def _splice_seq(plan, a, b, outcomes, want_marks):
         didx = np.repeat(dst0 - rel, stl) + np.arange(t1 - t0)
         kinds[didx] = plan.st_kinds[t0:t1]
         vids[didx] = plan.st_vids[t0:t1]
-    op_ends = (starts[cs] + ext[cs]) if want_marks else None
-    return kinds, vids, op_ends
+    return kinds, vids
 
 
 # ======================================================================
@@ -1010,7 +979,6 @@ def sequential_spill_kernel(
     num_red: int,
     schedule,
     policy: str,
-    step_marks,
     rbw: bool,
     mode: str = "numpy",
 ):
@@ -1022,53 +990,32 @@ def sequential_spill_kernel(
 
     _validate_policy(policy)
     c = cdag.compiled()
-    plan, plan_cached = _seq_plan_for(cdag, c, schedule)
+    plan = _seq_plan_for(cdag, c, schedule)
     _check_capacity(
         num_red, [plan.max_need] if plan.nops else [], "S"
     )
-    dkey = (id(plan), policy, num_red)
-    hit = _seq_decision_cache.get(dkey) if plan_cached else None
-    memo: Optional[list] = None
-    if hit is not None and hit[0] is plan:
-        _seq_decision_cache.move_to_end(dkey)
-        chunks = iter(hit[1])
+    if policy == "belady":
+        chunks = _plan_belady(plan, c, num_red)
+    elif plan.arity1 and mode == "numba" and numba_available():
+        chunks = _plan_lru_arity1_numba(plan, c, num_red)
+    elif plan.arity1:
+        chunks = _plan_lru_arity1(plan, c, num_red)
     else:
-        if plan_cached:
-            memo = []
-        if policy == "belady":
-            chunks = _plan_belady(plan, c, num_red)
-        elif plan.arity1 and mode == "numba" and numba_available():
-            chunks = _plan_lru_arity1_numba(plan, c, num_red)
-        elif plan.arity1:
-            chunks = _plan_lru_arity1(plan, c, num_red)
-        else:
-            chunks = _plan_lru_generic(plan, c, num_red)
+        chunks = _plan_lru_generic(plan, c, num_red)
 
     log = game.record.log
     carry = _SeqCarry(c, rbw)
-    want_marks = step_marks is not None
-    total = 0
     a = 0
     with _gc_paused():
         for out in chunks:
             b = min(a + _CHUNK_OPS, plan.nops)
-            if memo is not None:
-                out = np.asarray(out, dtype=np.int64)
-                memo.append(out)
-            kinds, vids, op_ends = _splice_seq(plan, a, b, out, want_marks)
+            kinds, vids = _splice_seq(plan, a, b, out)
             if not _validate_seq_chunk(c, kinds, vids, carry, num_red):
                 raise GameError(
                     "kernel backend produced an invalid move sequence"
                 )
             log.extend_block(kinds, vids)
-            if want_marks:
-                step_marks.extend((op_ends + total).tolist())
-            total += len(kinds)
             a = b
-    if memo is not None:
-        _seq_decision_cache[dkey] = (plan, memo)
-        while len(_seq_decision_cache) > _SEQ_DECISION_CACHE_CAP:
-            _seq_decision_cache.popitem(last=False)
     game.red_ids = set(np.flatnonzero(carry.red).tolist())
     game.blue_ids = set(np.flatnonzero(carry.blue).tolist())
     if rbw:
@@ -1103,7 +1050,7 @@ def replay_sequential_kernel(game, log, rbw: bool) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Parallel (P-RBW) half: hierarchy tables, bulk validator, drivers
+# Parallel (P-RBW) half: hierarchy tables, bulk validator, replay
 # ---------------------------------------------------------------------------
 
 #: held-state expected *before* each P-RBW opcode within a (vertex,
@@ -1470,85 +1417,6 @@ def _finalize_parallel(game, tab: _HierTab, carry: _ParCarry) -> None:
         record.horizontal_io[int(nd)] = int(carry.h_io[nd])
     for p in np.flatnonzero(carry.comp).tolist():
         record.compute_per_processor[int(p)] = int(carry.comp[p])
-
-
-#: memoized (compiled CDAG, hierarchy shape) -> validated move columns.
-#: The parallel planner is deterministic given the default schedule and
-#: assignment, so repeat runs skip the per-move engine loop; every warm
-#: run still re-checks all P-RBW rules via _validate_par_chunk.
-_par_decision_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_PAR_DECISION_CACHE_CAP = 4
-#: never memoize games above this many moves (bounds resident memory)
-_PAR_MEMO_MAX_MOVES = 2_000_000
-
-
-def parallel_spill_kernel(cdag, hierarchy, assignment, schedule, spill,
-                          step_marks) -> "object":
-    """P-RBW spill strategy through the kernel backend.
-
-    Cold runs execute the pinned batched planner through the per-move
-    engine (every rule checked by the engine itself) and memoize the
-    resulting move columns per (compiled CDAG, hierarchy shape).  Warm
-    runs bulk-validate the memoized columns with
-    :func:`_validate_par_chunk` — every rule re-checked in vectorized
-    form — and bulk-append them, skipping the Python planner entirely.
-    """
-    from .parallel import ParallelRBWPebbleGame
-    from .strategies import (
-        _gc_paused,
-        _parallel_spill_batched,
-        _parallel_spill_prepare,
-    )
-
-    c = cdag.compiled()
-    tab = _hier_tab_for(hierarchy)
-    memo_ok = (
-        schedule is None
-        and assignment is None
-        and c.n * tab.NI <= _PAR_HELD_GATE
-    )
-    dkey = (id(c), _hier_key(hierarchy))
-    hit = _par_decision_cache.get(dkey) if memo_ok else None
-    if hit is not None and hit[0] is c:
-        _par_decision_cache.move_to_end(dkey)
-        _, chunks, marks = hit
-        game = ParallelRBWPebbleGame(cdag, hierarchy, spill=spill)
-        carry = _ParCarry(c, tab)
-        log = game.record.log
-        with _gc_paused():
-            for kinds, vids, lcs, scs in chunks:
-                if not _validate_par_chunk(
-                    c, tab, carry, kinds, vids, lcs, scs
-                ):
-                    raise GameError(
-                        "kernel backend produced an invalid move sequence"
-                    )
-                log.extend_block(kinds, vids, lcs, scs)
-        _finalize_parallel(game, tab, carry)
-        if step_marks is not None:
-            step_marks.extend(marks)
-        game.assert_complete()
-        return game.record
-
-    schedule, assignment, c2 = _parallel_spill_prepare(
-        cdag, hierarchy, assignment, schedule
-    )
-    game = ParallelRBWPebbleGame(cdag, hierarchy, spill=spill)
-    marks: List[int] = []
-    record = _parallel_spill_batched(
-        game, cdag, hierarchy, assignment, schedule, c2, marks
-    )
-    if step_marks is not None:
-        step_marks.extend(marks)
-    if memo_ok and len(record.log) <= _PAR_MEMO_MAX_MOVES:
-        chunks = [
-            tuple(np.array(col, copy=True) for col in chunk)
-            for chunk in record.log.iter_chunks()
-        ]
-        _par_decision_cache[dkey] = (c, chunks, list(marks))
-        while len(_par_decision_cache) > _PAR_DECISION_CACHE_CAP:
-            _par_decision_cache.popitem(last=False)
-    return record
 
 
 def replay_parallel_kernel(game, log) -> bool:

@@ -25,9 +25,12 @@ measured vertical and horizontal traffic that Theorems 5-7 bound from
 below.  :func:`contiguous_block_assignment` provides the default
 owner-computes mapping.
 
-Two backends, one semantics
----------------------------
-Every strategy exists in two implementations selected by ``backend``:
+:func:`run_spill_game` is the single entry point over all three: it
+dispatches on the memory model (red-pebble count or hierarchy).
+
+Backends, one semantics
+-----------------------
+Every strategy exists in the implementations selected by ``backend``:
 
 * ``"batched"`` (the default) is the production hot loop.  Per-value
   recency/next-use bookkeeping lives in flat id-indexed arrays (one
@@ -42,10 +45,12 @@ Every strategy exists in two implementations selected by ``backend``:
   dictionaries, linear victim scans).  It is kept verbatim as the
   executable specification; randomized equivalence tests pin the batched
   backend to it move-for-move.
+* ``"kernel"`` (sequential games only) is the fused vectorized kernel of
+  :mod:`repro.pebbling.kernel`, pinned move-for-move to both.
 
-Both backends run entirely in the integer-id space of the compiled CDAG
-backend (:meth:`CDAG.compiled`): schedules are converted to id arrays
-once up front, pebble state and liveness counters are id-indexed lists,
+The ``batched`` and ``dict`` loops run entirely in the integer-id space
+of the compiled CDAG backend (:meth:`CDAG.compiled`): schedules are
+converted to id arrays once up front, pebble state and liveness counters are id-indexed lists,
 and the engines' ``*_id`` rule methods are used throughout, so no vertex
 name is hashed inside the spill loops.  Each such rule call appends a row
 of plain integers to the engine's columnar
@@ -77,10 +82,13 @@ __all__ = [
     "spill_game_redblue",
     "contiguous_block_assignment",
     "parallel_spill_game",
+    "run_spill_game",
 ]
 
 _POLICIES = ("lru", "belady")
 _BACKENDS = ("batched", "dict", "kernel")
+#: the P-RBW game has no fused kernel: its fast path is ``batched``
+_PAR_BACKENDS = ("batched", "dict")
 
 
 @contextmanager
@@ -111,11 +119,9 @@ def _validate_policy(policy: str) -> None:
         raise ValueError("policy must be 'lru' or 'belady'")
 
 
-def _validate_backend(backend: str) -> None:
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"backend must be one of {_BACKENDS}, got {backend!r}"
-        )
+def _validate_backend(backend: str, valid: Tuple[str, ...]) -> None:
+    if backend not in valid:
+        raise ValueError(f"backend must be one of {valid}, got {backend!r}")
 
 
 def _validate_num_red(num_red) -> None:
@@ -146,7 +152,6 @@ def _sequential_spill(
     num_red: int,
     schedule: Sequence[Vertex],
     policy: str,
-    step_marks: Optional[List[int]] = None,
 ) -> GameRecord:
     """Reference driver for the red-blue and RBW engines (dict backend).
 
@@ -238,9 +243,6 @@ def _sequential_spill(
         game.load_id(i)
         last_use[i] = clock
 
-    marks_append = step_marks.append if step_marks is not None else None
-    log = game.record.log
-
     for i in sched_ids:
         clock = position[i]
         if is_input[i]:
@@ -265,8 +267,6 @@ def _sequential_spill(
                 game.delete_id(p)
         if remaining_uses[i] == 0 and i in red_ids:
             game.delete_id(i)
-        if marks_append is not None:
-            marks_append(len(log))
 
     # Outputs that are inputs passed straight through (rare, but legal
     # under flexible tagging) need a blue pebble; inputs already have one.
@@ -283,7 +283,6 @@ def _sequential_spill_batched(
     num_red: int,
     schedule: Sequence[Vertex],
     policy: str,
-    step_marks: Optional[List[int]] = None,
 ) -> GameRecord:
     """Batched driver: flat id-indexed ``last_use`` + lazy-heap eviction.
 
@@ -432,9 +431,6 @@ def _sequential_spill_batched(
             delete_id(victim)
 
     lru = not belady
-    marks_append = step_marks.append if step_marks is not None else None
-    log = game.record.log
-
     with _gc_paused():
         for i in sched_ids:
             clock = position[i]
@@ -485,11 +481,32 @@ def _sequential_spill_batched(
                     delete_id(p)
             if remaining_uses[i] == 0 and i in red_ids:
                 delete_id(i)
-            if marks_append is not None:
-                marks_append(len(log))
 
     game.assert_complete()
     return game.record
+
+
+def _play_sequential(
+    make_game, cdag, num_red, schedule, policy, backend, kernel_mode, rbw
+) -> GameRecord:
+    """Shared backend dispatch of :func:`spill_game_rbw` and
+    :func:`spill_game_redblue`; ``make_game()`` builds the engine."""
+    _validate_policy(policy)
+    _validate_backend(backend, _BACKENDS)
+    _validate_num_red(num_red)
+    if backend == "kernel":
+        from .kernel import kernel_mode as _resolve_mode
+        from .kernel import sequential_spill_kernel
+
+        mode = _resolve_mode(kernel_mode)
+        if mode != "off":
+            return sequential_spill_kernel(
+                make_game(), cdag, num_red, schedule, policy,
+                rbw=rbw, mode=mode,
+            )
+    schedule = list(schedule) if schedule is not None else topological_schedule(cdag)
+    driver = _sequential_spill if backend == "dict" else _sequential_spill_batched
+    return driver(make_game(), cdag, num_red, schedule, policy)
 
 
 def spill_game_rbw(
@@ -499,7 +516,6 @@ def spill_game_rbw(
     policy: str = "lru",
     backend: str = "batched",
     spill=False,
-    step_marks: Optional[List[int]] = None,
     kernel_mode: Optional[str] = None,
 ) -> GameRecord:
     """Play a complete RBW game along ``schedule`` with an LRU/Belady
@@ -515,28 +531,11 @@ def spill_game_rbw(
     planner when numba is importable, numpy otherwise), or ``"off"``
     (fall back to the ``batched`` loop).  ``spill`` forwards to the
     engine's move log (disk-backed columns for very long games).
-    ``step_marks`` (a caller-provided list) receives the cumulative log
-    length after every fired operation, delimiting each macro-step's
-    move burst — the sharded runner merges shard logs on these marks.
     """
-    _validate_policy(policy)
-    _validate_backend(backend)
-    _validate_num_red(num_red)
-    if backend == "kernel":
-        from .kernel import kernel_mode as _resolve_mode
-        from .kernel import sequential_spill_kernel
-
-        mode = _resolve_mode(kernel_mode)
-        if mode != "off":
-            game = RBWPebbleGame(cdag, num_red, spill=spill)
-            return sequential_spill_kernel(
-                game, cdag, num_red, schedule, policy, step_marks,
-                rbw=True, mode=mode,
-            )
-    schedule = list(schedule) if schedule is not None else topological_schedule(cdag)
-    game = RBWPebbleGame(cdag, num_red, spill=spill)
-    driver = _sequential_spill if backend == "dict" else _sequential_spill_batched
-    return driver(game, cdag, num_red, schedule, policy, step_marks)
+    return _play_sequential(
+        lambda: RBWPebbleGame(cdag, num_red, spill=spill),
+        cdag, num_red, schedule, policy, backend, kernel_mode, rbw=True,
+    )
 
 
 def spill_game_redblue(
@@ -546,34 +545,18 @@ def spill_game_redblue(
     policy: str = "lru",
     backend: str = "batched",
     spill=False,
-    step_marks: Optional[List[int]] = None,
     kernel_mode: Optional[str] = None,
 ) -> GameRecord:
     """Play a complete Hong-Kung red-blue game along ``schedule``.
 
     The strategy never recomputes (it spills instead), so its cost is an
     upper bound for both the red-blue and the RBW I/O complexity.  See
-    :func:`spill_game_rbw` for ``backend``, ``kernel_mode``, ``spill``
-    and ``step_marks``.
+    :func:`spill_game_rbw` for ``backend``, ``kernel_mode`` and ``spill``.
     """
-    _validate_policy(policy)
-    _validate_backend(backend)
-    _validate_num_red(num_red)
-    if backend == "kernel":
-        from .kernel import kernel_mode as _resolve_mode
-        from .kernel import sequential_spill_kernel
-
-        mode = _resolve_mode(kernel_mode)
-        if mode != "off":
-            game = RedBluePebbleGame(cdag, num_red, strict=False, spill=spill)
-            return sequential_spill_kernel(
-                game, cdag, num_red, schedule, policy, step_marks,
-                rbw=False, mode=mode,
-            )
-    schedule = list(schedule) if schedule is not None else topological_schedule(cdag)
-    game = RedBluePebbleGame(cdag, num_red, strict=False, spill=spill)
-    driver = _sequential_spill if backend == "dict" else _sequential_spill_batched
-    return driver(game, cdag, num_red, schedule, policy, step_marks)
+    return _play_sequential(
+        lambda: RedBluePebbleGame(cdag, num_red, strict=False, spill=spill),
+        cdag, num_red, schedule, policy, backend, kernel_mode, rbw=False,
+    )
 
 
 # ======================================================================
@@ -649,7 +632,6 @@ def _parallel_spill_dict(
     assignment: Dict[Vertex, int],
     schedule: Sequence[Vertex],
     c,
-    step_marks: Optional[List[int]] = None,
 ) -> GameRecord:
     """Reference P-RBW owner-computes loop (dict backend, seed semantics)."""
     L = hierarchy.num_levels
@@ -774,9 +756,6 @@ def _parallel_spill_dict(
                 game.move_up_id(i, inst[0], inst[1])
             last_use[(inst, i)] = clock
 
-    marks_append = step_marks.append if step_marks is not None else None
-    log = game.record.log
-
     for i in sched_ids:
         clock += 1
         if is_input[i]:
@@ -810,8 +789,6 @@ def _parallel_spill_dict(
         if remaining_uses[i] == 0 and not is_output[i]:
             for (lvl, idx) in list(shades(i)):
                 game.delete_id(i, lvl, idx)
-        if marks_append is not None:
-            marks_append(len(log))
 
     game.assert_complete()
     return game.record
@@ -824,7 +801,6 @@ def _parallel_spill_batched(
     assignment: Dict[Vertex, int],
     schedule: Sequence[Vertex],
     c,
-    step_marks: Optional[List[int]] = None,
 ) -> GameRecord:
     """Batched P-RBW owner-computes loop.
 
@@ -1034,9 +1010,6 @@ def _parallel_spill_batched(
                 st[3][i] = clock
                 heappush(st[2], (clock, i))
 
-    marks_append = step_marks.append if step_marks is not None else None
-    log = game.record.log
-
     with _gc_paused():
         for i in sched_ids:
             clock += 1
@@ -1081,8 +1054,6 @@ def _parallel_spill_batched(
                     delete_all_id(p)
             if remaining_uses[i] == 0 and not is_output[i]:
                 delete_all_id(i)
-            if marks_append is not None:
-                marks_append(len(log))
 
     game.assert_complete()
     return game.record
@@ -1095,8 +1066,6 @@ def parallel_spill_game(
     schedule: Optional[Sequence[Vertex]] = None,
     backend: str = "batched",
     spill=False,
-    step_marks: Optional[List[int]] = None,
-    kernel_mode: Optional[str] = None,
 ) -> GameRecord:
     """Play a complete P-RBW game with an owner-computes strategy.
 
@@ -1110,24 +1079,11 @@ def parallel_spill_game(
 
     ``backend="batched"`` (default) runs the flat-array + lazy-heap hot
     loop; ``backend="dict"`` runs the reference loop (identical games,
-    pinned by equivalence tests); ``backend="kernel"`` memoizes the
-    deterministic default-schedule game per (CDAG, hierarchy shape) and
-    re-validates it with bulk vectorized rule checks on repeat runs (see
-    :mod:`repro.pebbling.kernel`; ``kernel_mode``/``REPRO_KERNEL`` =
-    ``"off"`` falls back to ``batched``).  ``spill`` forwards to the
-    engine's move log (disk-backed columns for very long games).
-    ``step_marks`` receives the cumulative log length after every fired
-    operation (see :func:`spill_game_rbw`).
+    pinned by equivalence tests).  The P-RBW game has no ``"kernel"``
+    backend.  ``spill`` forwards to the engine's move log (disk-backed
+    columns for very long games).
     """
-    _validate_backend(backend)
-    if backend == "kernel":
-        from .kernel import kernel_mode as _resolve_mode
-        from .kernel import parallel_spill_kernel
-
-        if _resolve_mode(kernel_mode) != "off":
-            return parallel_spill_kernel(
-                cdag, hierarchy, assignment, schedule, spill, step_marks
-            )
+    _validate_backend(backend, _PAR_BACKENDS)
     schedule, assignment, c = _parallel_spill_prepare(
         cdag, hierarchy, assignment, schedule
     )
@@ -1135,4 +1091,52 @@ def parallel_spill_game(
     driver = (
         _parallel_spill_dict if backend == "dict" else _parallel_spill_batched
     )
-    return driver(game, cdag, hierarchy, assignment, schedule, c, step_marks)
+    return driver(game, cdag, hierarchy, assignment, schedule, c)
+
+
+# ======================================================================
+# Unified entry point
+# ======================================================================
+def run_spill_game(
+    cdag: CDAG,
+    memory,
+    schedule: Optional[Sequence[Vertex]] = None,
+    assignment: Optional[Dict[Vertex, int]] = None,
+    policy: str = "lru",
+    backend: str = "batched",
+    engine: str = "rbw",
+    spill=False,
+) -> GameRecord:
+    """Play a complete spill-strategy game.
+
+    ``memory`` selects the model: an ``int`` plays a sequential game
+    with that many red pebbles (``engine="rbw"`` or ``"redblue"``)
+    through :func:`spill_game_rbw` / :func:`spill_game_redblue`, a
+    :class:`~repro.pebbling.hierarchy.MemoryHierarchy` plays the P-RBW
+    owner-computes strategy through :func:`parallel_spill_game`.
+
+    ``policy`` selects the *sequential* eviction rule (``"lru"`` or
+    ``"belady"``).  The P-RBW owner-computes strategy always evicts LRU
+    per storage instance; ``policy`` is accepted but ignored there.
+    ``assignment`` applies to P-RBW only.
+    """
+    if isinstance(memory, MemoryHierarchy):
+        return parallel_spill_game(
+            cdag,
+            memory,
+            assignment=assignment,
+            schedule=schedule,
+            backend=backend,
+            spill=spill,
+        )
+    if engine not in ("rbw", "redblue"):
+        raise ValueError(f"engine must be 'rbw' or 'redblue', got {engine!r}")
+    runner = spill_game_redblue if engine == "redblue" else spill_game_rbw
+    return runner(
+        cdag,
+        memory,
+        schedule=schedule,
+        policy=policy,
+        backend=backend,
+        spill=spill,
+    )

@@ -158,22 +158,18 @@ def component_forest_cdag(
     component_size: int,
     seed: int = 0,
     extra_edge_prob: float = 0.15,
-    tag_outputs: bool = True,
 ) -> CDAG:
-    """A disjoint union of seeded random connected DAGs — the canonical
-    multi-component workload of the sharded-runner test suites.
+    """A disjoint union of seeded random connected DAGs — the seeded
+    multi-component workload of the spill harness and the benchmarks.
 
     Component ``k`` is a random connected DAG on ``component_size``
     vertices ``("c", k, i)`` drawn from ``default_rng(seed + k)`` (every
     vertex past the first gets one backbone edge from an earlier vertex,
-    plus Bernoulli extras); sources are tagged input and — with
-    ``tag_outputs`` — sinks are tagged output, valid under flexible RBW
-    labels.  Vertices are inserted component-major, so
-    :func:`~repro.core.ordering.dfs_schedule` yields a
-    component-contiguous schedule (what criterion B of the sharded
-    runner needs), while the plain BFS topological order interleaves
-    components.  ``tag_outputs=False`` leaves sinks untagged — the
-    residue-free shape the P-RBW sharding criterion requires.
+    plus Bernoulli extras); sources are tagged input and sinks are tagged
+    output, valid under flexible RBW labels.  Vertices are inserted
+    component-major, so :func:`~repro.core.ordering.dfs_schedule` yields
+    a component-contiguous schedule, while the plain BFS topological
+    order interleaves components.
     """
     if num_components < 1 or component_size < 1:
         raise ValueError("need at least one component of one vertex")
@@ -198,7 +194,7 @@ def component_forest_cdag(
             vertices.append(v)
             if i not in has_pred:
                 inputs.append(v)
-            if tag_outputs and i not in has_succ and i in has_pred:
+            if i not in has_succ and i in has_pred:
                 outputs.append(v)
         edges.extend(
             ((("c", k, i), ("c", k, j)) for i, j in sorted(comp_edges))

@@ -46,10 +46,10 @@ class TestParser:
         assert args.m == [3, 7] and args.n == 50
         args = parser.parse_args(["distsim", "--nodes", "2", "--cache", "16"])
         assert args.nodes == 2 and args.cache == 16
-        args = parser.parse_args(
-            ["spill", "--workload", "star", "--ops", "64", "--workers", "2"]
-        )
-        assert args.workload == "star" and args.workers == 2
+        args = parser.parse_args(["spill", "--workload", "star", "--ops", "64"])
+        assert args.workload == "star" and args.ops == 64
+        with pytest.raises(SystemExit):
+            parser.parse_args(["spill", "--workers", "2"])
 
 
 class TestExecution:
@@ -96,19 +96,23 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "moves         : 800" in out  # 50 moves/op at degree 8
 
-    def test_spill_sharded_matches_sequential_counts(self, capsys):
-        assert main(["spill", "--workload", "star", "--ops", "16",
-                     "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "moves         : 800" in out
-        assert "workers       : 2" in out
-
     def test_spill_kernel_backend_matches_counts(self, capsys):
-        assert main(["spill", "--workload", "star", "--ops", "16",
-                     "--backend", "kernel"]) == 0
-        out = capsys.readouterr().out
-        assert "moves         : 800" in out
-        assert "backend       : kernel" in out
+        argv = ["spill", "--workload", "chains", "--chains", "8",
+                "--length", "6"]
+        assert main(argv) == 0
+        batched = capsys.readouterr().out
+        assert main(argv + ["--backend", "kernel"]) == 0
+        kernel = capsys.readouterr().out
+        assert "backend       : kernel" in kernel
+        moves = re.compile(r"moves\s+: \d+")
+        assert moves.search(kernel).group() == moves.search(batched).group()
+
+    def test_spill_kernel_backend_rejects_star(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spill", "--workload", "star", "--ops", "16",
+                  "--backend", "kernel"])
+        assert exc.value.code == 2
+        assert "chains workload only" in capsys.readouterr().err
 
     def test_sweep_smoke_resume_and_reproduce(self, tmp_path, capsys):
         """The harness subcommands end to end: sweep a smoke grid,

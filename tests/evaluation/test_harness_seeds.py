@@ -10,7 +10,7 @@ summaries), while different seeds are different cell identities.
 """
 
 from repro.evaluation.experiments import experiment_spill_strategies
-from repro.evaluation.harness import make_spec, run_grid
+from repro.evaluation.harness import default_grid, make_spec, run_grid
 from repro.evaluation.manifest import read_manifest, read_metrics
 
 
@@ -97,3 +97,32 @@ class TestDriverSeedPlumbing:
         assert experiment_composite_example(sizes=(4, 8)) == (
             experiment_composite_example(sizes=(4, 8))
         )
+
+
+class TestDefaultGridSpillCells:
+    def test_spill_cell_list_is_pinned(self):
+        """policy x backend is crossed on the sequential chains workload
+        only; the P-RBW star game gets one cell (no policy choice, no
+        kernel backend)."""
+        for seed in (0, 1):
+            labels = [
+                spec.label for spec in default_grid(seed)
+                if spec.experiment == "spill"
+            ]
+            assert labels == [
+                f"spill_star_lru_batched_s{seed}",
+                f"spill_chains_lru_batched_s{seed}",
+                f"spill_chains_lru_kernel_s{seed}",
+                f"spill_chains_belady_batched_s{seed}",
+                f"spill_chains_belady_kernel_s{seed}",
+                f"spill_forest_lru_batched_s{seed}",
+            ]
+
+    def test_star_ignores_policy(self):
+        """P-RBW's owner-computes strategy always evicts LRU."""
+        lru = experiment_spill_strategies(workload="star", policy="lru")[0]
+        belady = experiment_spill_strategies(
+            workload="star", policy="belady"
+        )[0]
+        assert lru.pop("policy") == "lru" and belady.pop("policy") == "belady"
+        assert lru == belady

@@ -109,7 +109,7 @@ class TestNumbaTiers:
         numba compiles); pin it against the batched loop directly."""
         cdag = independent_chains_cdag(8, 6)
         c = cdag.compiled()
-        plan, _ = kernel._seq_plan_for(cdag, c, None)
+        plan = kernel._seq_plan_for(cdag, c, None)
         assert plan.arity1
         chunks = list(
             kernel._plan_lru_arity1_numba(plan, c, 4, use_jit=False)

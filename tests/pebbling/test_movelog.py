@@ -4,6 +4,12 @@ The equivalence classes here pin the columnar-log engines to the seed's
 per-``Move``-object semantics: replaying a recorded log — through the
 column fast path *and* through materialized ``Move`` objects — must
 reproduce identical columns, counters and partitions on randomized CDAGs.
+
+:class:`TestSelectColumnsProperties` is hypothesis-based: for arbitrary
+logs and column subsets (in any order), the column-selective read agrees
+chunk-for-chunk with the full :meth:`MoveLog.iter_chunks` read.
+``hypothesis`` is a test extra (``pip install .[test]``); that class is
+skipped when it is absent.
 """
 
 import numpy as np
@@ -27,6 +33,7 @@ from repro.pebbling import (
     spill_game_redblue,
 )
 from repro.pebbling.state import (
+    _NUM_OPCODES,
     OP_COMPUTE,
     OP_DELETE,
     OP_LOAD,
@@ -34,6 +41,11 @@ from repro.pebbling.state import (
     decode_instance,
     encode_instance,
 )
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    st = None
 
 
 def columns_of(record):
@@ -241,3 +253,68 @@ class TestExecutorRunRecord:
         ex = DistributedExecutor(num_nodes=2, cache_words=4)
         with pytest.raises(ValueError):
             ex.run_record(cdag, record)
+
+
+if st is not None:
+    #: one move row: (kind, vid, loc, src) — locs/srcs either absent (-1)
+    #: or a packed (level, index) instance
+    row_strategy = st.tuples(
+        st.integers(min_value=0, max_value=_NUM_OPCODES - 1),
+        st.integers(min_value=0, max_value=99),
+        st.one_of(
+            st.just(-1),
+            st.integers(min_value=1, max_value=3).map(
+                lambda lv: (lv << 24) | 1
+            ),
+        ),
+        st.just(-1),
+    )
+
+    class TestSelectColumnsProperties:
+        @settings(max_examples=30, deadline=None)
+        @given(
+            rows=st.lists(row_strategy, min_size=0, max_size=60),
+            block_size=st.integers(min_value=1, max_value=16),
+            spill=st.booleans(),
+            subset=st.lists(
+                st.sampled_from(
+                    ["kinds", "vertex_ids", "locations", "sources"]
+                ),
+                min_size=1,
+                max_size=4,
+                unique=True,
+            ),
+        )
+        def test_selected_reads_agree_with_full_reads(
+            self, rows, block_size, spill, subset, tmp_path_factory
+        ):
+            base = str(tmp_path_factory.mktemp("sel"))
+            log = MoveLog(block_size=block_size, spill=base if spill else False)
+            for kind, vid, loc, src in rows:
+                log.append_ids(kind, vid, loc, src)
+            full = {
+                "kinds": log.kinds(),
+                "vertex_ids": log.vertex_ids(),
+                "locations": log.locations(),
+                "sources": log.sources(),
+            }
+            chunks = list(log.select_columns(*subset))
+            if rows:
+                for pos, name in enumerate(subset):
+                    cat = np.concatenate([c[pos] for c in chunks])
+                    assert np.array_equal(cat, full[name]), name
+            else:
+                assert chunks == []
+            # chunk boundaries line up with iter_chunks
+            assert [len(c[0]) for c in chunks] == [
+                len(c[0]) for c in log.iter_chunks()
+            ]
+            log.close()
+
+
+def test_select_columns_rejects_unknown_names():
+    log = MoveLog()
+    with pytest.raises(ValueError, match="unknown column"):
+        log.select_columns("steps")
+    with pytest.raises(ValueError, match="at least one"):
+        log.select_columns()

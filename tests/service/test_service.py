@@ -119,6 +119,20 @@ class TestErrors:
         assert exc.value.status == 400
         assert "u_upper" in exc.value.message
 
+    def test_pebble_workers_param_is_400(self, client):
+        """``workers`` is not a spill param: refused as unknown."""
+        with pytest.raises(ServiceError) as exc:
+            client.pebble(params={"workload": "star", "workers": 2})
+        assert exc.value.status == 400
+        assert "unknown param 'workers'" in exc.value.message
+
+    def test_pebble_star_kernel_is_400(self, client):
+        """P-RBW has no kernel backend; the refusal names the valid ones."""
+        with pytest.raises(ServiceError) as exc:
+            client.pebble(params={"workload": "star", "backend": "kernel"})
+        assert exc.value.status == 400
+        assert "'batched', 'dict'" in exc.value.message
+
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceError) as exc:
             client.get("/v1/nothing")
