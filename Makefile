@@ -11,9 +11,9 @@ PY := PYTHONPATH=src python
 test:
 	$(PY) -m pytest -x -q
 
-# Kernel-backend differential suites (numpy tier by default; CI's numba
-# matrix arm runs this with numba installed and REPRO_KERNEL=numba so
-# the jitted planner is pinned move-for-move too).
+# Kernel differential suites: the fused kernel behind the sequential
+# `batched` backend pinned move-for-move to the `dict` reference loop,
+# plus the engines' bulk-replay fast path and its per-move fallback.
 test-kernel:
 	$(PY) -m pytest tests/pebbling/test_kernel_backend.py \
 	  tests/pebbling/test_spill_strategies.py -q
@@ -95,12 +95,12 @@ bench:
 bench-service:
 	$(PY) -m pytest benchmarks/bench_service.py -q --benchmark-disable
 
-# Kernel-backend benchmark subset: refreshes only the strategy/kernel_*
-# entries (plus the same-run batched baselines they are measured
-# against) in BENCH_core.json.
+# Strategy/kernel benchmark subset: refreshes only the strategy/*
+# entries (the batched fast paths with their same-run dict baselines,
+# and the kernel-validated spilled replay) in BENCH_core.json.
 bench-kernel:
-	$(PY) -m pytest benchmarks/bench_compiled_core.py -q -k kernel \
-	  --benchmark-disable
+	$(PY) -m pytest benchmarks/bench_compiled_core.py -q \
+	  -k "strategy_loops or kernel" --benchmark-disable
 
 # CI bench-regression guard: smoke-measure into a scratch json and fail
 # on >3x regressions of the movelog/sched/strategy/service/fleet/

@@ -34,13 +34,10 @@ Each subcommand runs the corresponding experiment driver from
 with default parameters.  ``spill`` plays a spill-strategy pebble game
 on a synthetic workload through the unified
 :func:`repro.pebbling.run_spill_game` entry point; ``--backend
-{batched,dict,kernel}`` selects the strategy loop (all three play the
-identical game; ``kernel`` plays the sequential ``chains`` workload
-only, not the P-RBW ``star``).  With ``--backend kernel`` the
-``REPRO_KERNEL`` environment variable picks the execution tier:
-``numpy`` (default),
-``numba`` (jitted planner where numba is installed; degrades to numpy
-otherwise), or ``off`` (fall back to the batched loop).
+{batched,dict}`` selects the strategy loop (both play the identical
+game): ``batched`` is the fast path (the fused vectorized kernel for the
+sequential ``chains`` game, the flat-array heap loop for the P-RBW
+``star`` game), ``dict`` the reference loop it is pinned against.
 
 ``sweep`` executes a declarative experiment grid through the
 manifest-driven harness (:mod:`repro.evaluation.harness`): one result
@@ -167,13 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=["lru", "belady"], default="lru",
                    help="eviction rule of the sequential chains game "
                    "(the P-RBW star game always evicts LRU)")
-    p.add_argument("--backend", choices=["batched", "dict", "kernel"],
+    p.add_argument("--backend", choices=["batched", "dict"],
                    default="batched",
-                   help="strategy loop (same game either way); 'kernel' "
-                   "plays the chains workload only and "
-                   "honors the REPRO_KERNEL env var: numpy (default), "
-                   "numba (jitted planner, falls back to numpy when "
-                   "numba is absent), or off (use the batched loop)")
+                   help="strategy loop (same game either way): batched "
+                   "is the fast path, dict the reference loop")
     p.add_argument("--spill-log", action="store_true",
                    help="record into a disk-spilled move log")
 
@@ -620,11 +614,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.command == "spill" and args.workload == "star"
-            and args.backend == "kernel"):
-        parser.error("spill --backend kernel plays the sequential chains "
-                     "workload only; star is a P-RBW game (use batched "
-                     "or dict)")
     if args.command == "sweep":
         return _run_sweep(args)
     if args.command == "reproduce":

@@ -474,11 +474,10 @@ def experiment_spill_strategies(
     """Play one complete spill-strategy game and report its move/I/O row.
 
     This is the driver behind the harness's spill cells: every strategy
-    axis (``policy``, ``backend`` incl. ``kernel``) is a first-class
-    parameter, so one grid sweeps the whole strategy engine.  ``policy``
-    selects the sequential eviction rule (``chains``, ``forest``); the
-    P-RBW owner-computes strategy of ``star`` always evicts LRU, and
-    accepts no ``backend="kernel"``.  Workloads:
+    axis (``policy``, ``backend``) is a first-class parameter, so one
+    grid sweeps the whole strategy engine.  ``policy`` selects the
+    sequential eviction rule (``chains``, ``forest``); the P-RBW
+    owner-computes strategy of ``star`` always evicts LRU.  Workloads:
 
     * ``"star"`` — owner-computes P-RBW hierarchy walk
       (:func:`~repro.pebbling.workloads.star_spill_setup`);

@@ -363,15 +363,15 @@ def default_grid(seed: int = 0) -> List[RunSpec]:
     defaults plus a policy x backend product on the sequential ``chains``
     spill workload, one P-RBW ``star`` cell and one seeded-forest cell.
 
-    ``star`` gets a single cell: P-RBW has no eviction-policy choice and
-    no ``kernel`` backend, so more cells would replay the same game."""
+    ``star`` gets a single cell: P-RBW has no eviction-policy choice, and
+    its ``dict`` cell would replay the ``batched`` game move for move."""
     specs = [make_spec(name, seed=seed) for name in
              ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9")]
     spill_axes: List[Dict] = [{"workload": "star"}]
     spill_axes += [
         {"workload": "chains", "policy": p, "backend": b}
         for p in ("lru", "belady")
-        for b in ("batched", "kernel")
+        for b in ("batched", "dict")
     ]
     spill_axes.append({"workload": "forest"})
     for overrides in spill_axes:

@@ -58,12 +58,11 @@ Two cross-cutting rules added with the observability layer:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -73,11 +72,7 @@ from ..evaluation.harness import (
     plan_resume,
     scan_results_root,
 )
-from ..evaluation.manifest import (
-    canonical_config,
-    dumps_canonical,
-    read_summary,
-)
+from ..evaluation.manifest import canonical_config, read_summary
 from ..obs import (
     OBS_SCHEMA,
     EventRing,
@@ -85,6 +80,7 @@ from ..obs import (
     labeled,
     signal_from_error,
 )
+from ..utils.http import JSONRequestHandler
 
 __all__ = [
     "DEFAULT_FLEET_PORT",
@@ -210,7 +206,6 @@ class FleetController:
         self._failed: Dict[str, str] = {}
         self._last_error: Dict[str, str] = {}
         self._workers: Dict[str, _Worker] = {}
-        self.requests: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Grid lifecycle
@@ -619,10 +614,6 @@ class FleetController:
     # ------------------------------------------------------------------
     # HTTP dispatch
     # ------------------------------------------------------------------
-    def _count_request(self, endpoint: str) -> None:
-        with self._mu:
-            self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
-
     def handle(self, method: str, path: str, body: Optional[Dict]):
         """``(status, response-mapping)`` for one request."""
         endpoint = f"{method} {path}"
@@ -639,7 +630,6 @@ class FleetController:
 
     def _dispatch(self, method: str, path: str, body: Optional[Dict]):
         body = body or {}
-        self._count_request(f"{method} {path}")
         try:
             if (method, path) == ("GET", "/health"):
                 return 200, self.health()
@@ -680,45 +670,11 @@ class FleetController:
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
 
-class _FleetHandler(BaseHTTPRequestHandler):
+class _FleetHandler(JSONRequestHandler):
     server_version = "repro-fleet/1"
 
-    def _respond(self, status: int, payload: Dict) -> None:
-        raw = dumps_canonical(payload, indent=None).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def _dispatch(self, method: str) -> None:
-        body = None
-        if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            try:
-                body = json.loads(raw.decode("utf-8")) if raw else {}
-            except (ValueError, UnicodeDecodeError):
-                self._respond(400, {"error": "request body is not valid JSON"})
-                return
-            if not isinstance(body, dict):
-                self._respond(
-                    400, {"error": "request body must be a JSON object"}
-                )
-                return
-        status, payload = self.server.controller.handle(
-            method, self.path, body
-        )
-        self._respond(status, payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
-
-    def log_message(self, fmt, *args) -> None:  # quiet by default
-        pass
+    def route(self, method: str, path: str, body: Optional[Dict]):
+        return self.server.controller.handle(method, path, body)
 
 
 class _FleetServer(ThreadingHTTPServer):

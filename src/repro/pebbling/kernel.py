@@ -1,11 +1,10 @@
-"""Fused vectorized pebble-rule kernel (``backend="kernel"``).
+"""Fused vectorized pebble-rule kernel: the sequential ``batched`` backend.
 
-The batched strategy loops (:mod:`repro.pebbling.strategies`) spend their
-per-move budget on Python-interpreter rule checks: every load, store,
-compute, and delete is one engine method call that validates its rule and
-appends one log row.  This module breaks that floor by splitting each
-strategy into three bulk phases that run a *chunk of macro-steps* at a
-time:
+A per-move strategy loop spends its budget on Python-interpreter rule
+checks: every load, store, compute, and delete is one engine method call
+that validates its rule and appends one log row.  This module breaks that
+floor by splitting each sequential strategy into three bulk phases that
+run a *chunk of macro-steps* at a time:
 
 1. **Plan** — a static, schedule-derived description of every macro-step
    (operands, retires, output/self-retire flags) is precomputed with
@@ -27,29 +26,16 @@ CDAG is checked rule-for-rule in bulk and bulk-appended, falling back to
 the per-move loop (for its exact diagnostics) only when a chunk fails.
 The P-RBW game has no planner here, only the replay validator
 (:func:`replay_parallel_kernel`); its strategy fast path is the
-``batched`` loop.
+flat-array loop in :mod:`repro.pebbling.strategies`.
 
-Capability probe
-----------------
-``REPRO_KERNEL`` (or the explicit ``kernel_mode=`` argument of the
-strategy entry points) selects the execution tier:
-
-* ``"numpy"`` (default) — the always-available vectorized kernel above;
-* ``"numba"`` — additionally JIT-compiles the single-operand LRU planner
-  loop (:func:`_lru_arity1_flat`) when numba is importable, degrading
-  silently to ``"numpy"`` when it is not;
-* ``"off"`` — the strategy entry points fall back to the pinned
-  ``batched`` reference loops and replay uses the per-move path.
-
-The planner emits exactly the moves the ``batched``/``dict`` backends
-emit — the randomized differential suite pins all three move-for-move.
+The planner emits exactly the moves the ``dict`` reference loop emits —
+the randomized differential suite pins them move-for-move.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -69,14 +55,11 @@ from .state import (
 )
 
 __all__ = [
-    "kernel_mode",
-    "numba_available",
     "sequential_spill_kernel",
     "replay_sequential_kernel",
     "replay_parallel_kernel",
 ]
 
-_KERNEL_MODES = ("numpy", "numba", "off")
 #: macro-steps per plan/splice/validate chunk (bounds resident memory at
 #: 10^8-move scale: one chunk of columns, never the whole game)
 _CHUNK_OPS = 65536
@@ -90,38 +73,6 @@ _REPLAY_SLICE_ROWS = 1 << 17
 _NO_VICTIM_MSG = (
     "no evictable red pebble: fast memory too small for this schedule step"
 )
-
-
-def kernel_mode(mode: Optional[str] = None) -> str:
-    """Resolve the kernel execution tier.
-
-    An explicit ``mode`` wins; otherwise the ``REPRO_KERNEL`` environment
-    variable is consulted (default ``"numpy"``).  Raises ``ValueError``
-    for unknown tiers.
-    """
-    if mode is None:
-        mode = os.environ.get("REPRO_KERNEL", "").strip().lower() or "numpy"
-    if mode not in _KERNEL_MODES:
-        raise ValueError(
-            f"kernel mode must be one of {_KERNEL_MODES}, got {mode!r}"
-        )
-    return mode
-
-
-_numba_probe: Optional[bool] = None
-
-
-def numba_available() -> bool:
-    """True when numba is importable (probed once per process)."""
-    global _numba_probe
-    if _numba_probe is None:
-        try:
-            import numba  # noqa: F401
-
-            _numba_probe = True
-        except Exception:
-            _numba_probe = False
-    return _numba_probe
 
 
 def _blue_miss(c, p: int) -> GameError:
@@ -478,8 +429,14 @@ def _plan_lru_generic(plan, c, num_red):
 
 
 def _plan_belady(plan, c, num_red):
-    """Belady (furthest-next-use) planner — a port of the batched
-    backend's lazy-heap victim selection, emitting outcome words."""
+    """Belady (furthest-next-use) planner: lazy-deletion heap victim
+    selection, emitting outcome words.
+
+    Every touch pushes a fresh ``(-next_use, last_use, id)`` key (the
+    heap-min of which is the reference's ``max`` of ``(next_use,
+    -last_use, -id)``); stale entries are discarded when popped and
+    pinned ones set aside and re-pushed.
+    """
     from heapq import heapify, heappop, heappush
 
     n = c.n
@@ -510,6 +467,8 @@ def _plan_belady(plan, c, num_red):
         heappush(heap, (-nxt, clock, i))
 
     def evict(pinned):
+        # Touches outnumber evictions, so stale entries pile up; when
+        # they dominate, rebuild the heap from the resident set's keys.
         if len(heap) > 64 and len(heap) > 8 * len(red_ids):
             heap[:] = [(-cur_next[u], last_use[u], u) for u in red_ids]
             heapify(heap)
@@ -526,6 +485,9 @@ def _plan_belady(plan, c, num_red):
                 continue
             nxt = -neg_nxt
             if nxt < clock:
+                # The cached next use passed without a touch: its
+                # consumer is an input vertex that never fires (flexible
+                # tagging).  Recompute like the reference and retry.
                 heappop(heap)
                 uses = future_uses[u]
                 while uses and uses[-1] < clock:
@@ -600,174 +562,6 @@ def _plan_belady(plan, c, num_red):
             if fl & 4:
                 red_ids.discard(i)
         yield out
-
-
-# ----------------------------------------------------------------------
-# Numba tier: the arity-1 LRU planner as a flat array loop.  The recency
-# dict becomes an intrusive doubly-linked list (head = least recent,
-# O(1) move-to-end) over preallocated index arrays; the function is
-# numba-njit-compilable but also runs (and is differentially tested) as
-# plain Python.  Rule errors are returned as status codes so the jitted
-# body stays exception-free; the driver reruns the Python planner to
-# raise the exact diagnostic.
-# ----------------------------------------------------------------------
-def _lru_arity1_flat(op_clock, op_vid, op_preds, fl, blue,
-                     prev, nxt, lu, inred, S, out):
-    n = blue.shape[0]
-    sent = n
-    cnt = 0
-    w = 0
-    for k in range(op_clock.shape[0]):
-        clock = op_clock[k]
-        i = op_vid[k]
-        p = op_preds[k]
-        if inred[p] == 1:
-            pv = prev[p]
-            nx = nxt[p]
-            nxt[pv] = nx
-            prev[nx] = pv
-            tail = prev[sent]
-            nxt[tail] = p
-            prev[p] = tail
-            nxt[p] = sent
-            prev[sent] = p
-            lu[p] = clock
-            out[w] = 0
-            w += 1
-        else:
-            if blue[p] == 0:
-                return 1, k
-            if cnt >= S:
-                v = nxt[sent]
-                while v == p or v == i:
-                    v = nxt[v]
-                if v == sent:
-                    return 2, k
-                l0 = lu[v]
-                u = nxt[v]
-                while u != sent and lu[u] == l0:
-                    if u < v and u != p and u != i:
-                        v = u
-                    u = nxt[u]
-                pv = prev[v]
-                nx = nxt[v]
-                nxt[pv] = nx
-                prev[nx] = pv
-                inred[v] = 0
-                cnt -= 1
-                if blue[v] == 1:
-                    out[w] = (v << 2) | 2
-                else:
-                    blue[v] = 1
-                    out[w] = (v << 2) | 3
-                w += 1
-            else:
-                out[w] = 1
-                w += 1
-            tail = prev[sent]
-            nxt[tail] = p
-            prev[p] = tail
-            nxt[p] = sent
-            prev[sent] = p
-            inred[p] = 1
-            lu[p] = clock
-            cnt += 1
-        if cnt >= S:
-            v = nxt[sent]
-            while v == p or v == i:
-                v = nxt[v]
-            if v == sent:
-                return 2, k
-            l0 = lu[v]
-            u = nxt[v]
-            while u != sent and lu[u] == l0:
-                if u < v and u != p and u != i:
-                    v = u
-                u = nxt[u]
-            pv = prev[v]
-            nx = nxt[v]
-            nxt[pv] = nx
-            prev[nx] = pv
-            inred[v] = 0
-            cnt -= 1
-            if blue[v] == 1:
-                out[w] = (v << 2) | 2
-            else:
-                blue[v] = 1
-                out[w] = (v << 2) | 3
-            w += 1
-        else:
-            out[w] = 0
-            w += 1
-        tail = prev[sent]
-        nxt[tail] = i
-        prev[i] = tail
-        nxt[i] = sent
-        prev[sent] = i
-        inred[i] = 1
-        lu[i] = clock
-        cnt += 1
-        f = fl[k]
-        if f != 0:
-            if f & 2:
-                blue[i] = 1
-            if f & 1:
-                pv = prev[p]
-                nx = nxt[p]
-                nxt[pv] = nx
-                prev[nx] = pv
-                inred[p] = 0
-                cnt -= 1
-            if f & 4:
-                pv = prev[i]
-                nx = nxt[i]
-                nxt[pv] = nx
-                prev[nx] = pv
-                inred[i] = 0
-                cnt -= 1
-    return 0, 0
-
-
-_jitted_lru = None
-
-
-def _get_jitted_lru():
-    global _jitted_lru
-    if _jitted_lru is None:
-        from numba import njit
-
-        _jitted_lru = njit(cache=False, nogil=True)(_lru_arity1_flat)
-    return _jitted_lru
-
-
-def _plan_lru_arity1_numba(plan, c, num_red, use_jit=True):
-    """Run the flat LRU loop over the whole plan, then yield the outcome
-    array chunk by chunk.  On a nonzero status the Python planner is
-    rerun to raise the reference diagnostic."""
-    n = c.n
-    blue = np.zeros(n, dtype=np.uint8)
-    blue[np.asarray(plan.input_ids, dtype=np.int64)] = 1
-    prev = np.empty(n + 1, dtype=np.int64)
-    nxt = np.empty(n + 1, dtype=np.int64)
-    prev[n] = nxt[n] = n
-    lu = np.empty(n, dtype=np.int64)
-    inred = np.zeros(n, dtype=np.uint8)
-    out = np.empty(plan.nslots, dtype=np.int64)
-    fn = _get_jitted_lru() if use_jit else _lru_arity1_flat
-    status, _ = fn(
-        plan.op_clock, plan.op_vid, plan.op_preds,
-        plan.fl.astype(np.int64), blue, prev, nxt, lu, inred,
-        num_red, out,
-    )
-    if status != 0:
-        for _ in _plan_lru_arity1(plan, c, num_red):
-            pass
-        raise GameError(
-            "kernel planner failed without a diagnosable rule error"
-        )  # pragma: no cover - the rerun above raises first
-    for a in range(0, plan.nops, _CHUNK_OPS):
-        b = min(a + _CHUNK_OPS, plan.nops)
-        yield out[plan.seg_indptr[a]:plan.seg_indptr[b]]
 
 
 # ======================================================================
@@ -980,12 +774,11 @@ def sequential_spill_kernel(
     schedule,
     policy: str,
     rbw: bool,
-    mode: str = "numpy",
 ):
     """Kernel driver behind ``spill_game_rbw``/``spill_game_redblue``
-    with ``backend="kernel"``: plan -> splice -> validate -> bulk append,
+    with ``backend="batched"``: plan -> splice -> validate -> bulk append,
     one chunk of macro-steps at a time.  Move-for-move equal to the
-    ``batched``/``dict`` backends."""
+    ``dict`` reference loop."""
     from .strategies import _check_capacity, _gc_paused, _validate_policy
 
     _validate_policy(policy)
@@ -996,8 +789,6 @@ def sequential_spill_kernel(
     )
     if policy == "belady":
         chunks = _plan_belady(plan, c, num_red)
-    elif plan.arity1 and mode == "numba" and numba_available():
-        chunks = _plan_lru_arity1_numba(plan, c, num_red)
     elif plan.arity1:
         chunks = _plan_lru_arity1(plan, c, num_red)
     else:

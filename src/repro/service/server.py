@@ -53,13 +53,11 @@ Doctest::
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
-from ..evaluation.manifest import dumps_canonical
 from ..obs import OBS_SCHEMA, EventRing, MetricsRegistry, labeled
 from ..store.analysis import (
     cached_bound,
@@ -71,6 +69,7 @@ from ..store.analysis import (
 from ..store.codec import unpack_arrays
 from ..store.db import ArtifactStore
 from ..store.keys import artifact_key
+from ..utils.http import JSONRequestHandler
 
 __all__ = ["BoundService", "make_server", "serve", "DEFAULT_PORT"]
 
@@ -89,7 +88,6 @@ class BoundService:
 
     def __init__(self, store: ArtifactStore) -> None:
         self.store = store
-        self.started_s = time.time()
         self._started_mono = time.monotonic()
         self._mu = threading.Lock()
         self.requests: Dict[str, int] = {}
@@ -113,7 +111,7 @@ class BoundService:
         return {
             "status": "ok",
             "schema": SERVICE_SCHEMA,
-            "uptime_s": time.time() - self.started_s,
+            "uptime_s": time.monotonic() - self._started_mono,
             "store": str(self.store.path),
         }
 
@@ -123,7 +121,7 @@ class BoundService:
             requests = dict(self.requests)
         return {
             "schema": SERVICE_SCHEMA,
-            "uptime_s": time.time() - self.started_s,
+            "uptime_s": time.monotonic() - self._started_mono,
             "requests": requests,
             "store": self.store.stats(),
         }
@@ -261,43 +259,11 @@ class BoundService:
         return status, payload
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JSONRequestHandler):
     server_version = "repro-service/1"
 
-    def _respond(self, status: int, payload: Dict) -> None:
-        raw = dumps_canonical(payload, indent=None).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def _dispatch(self, method: str) -> None:
-        body = None
-        if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            try:
-                body = json.loads(raw.decode("utf-8")) if raw else {}
-            except (ValueError, UnicodeDecodeError):
-                self._respond(400, {"error": "request body is not valid JSON"})
-                return
-            if not isinstance(body, dict):
-                self._respond(
-                    400, {"error": "request body must be a JSON object"}
-                )
-                return
-        status, payload = self.server.service.handle(method, self.path, body)
-        self._respond(status, payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
-
-    def log_message(self, fmt, *args) -> None:  # quiet by default
-        pass
+    def route(self, method: str, path: str, body: Optional[Dict]):
+        return self.server.service.handle(method, path, body)
 
 
 class _Server(ThreadingHTTPServer):

@@ -96,23 +96,23 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "moves         : 800" in out  # 50 moves/op at degree 8
 
-    def test_spill_kernel_backend_matches_counts(self, capsys):
+    def test_spill_dict_backend_matches_counts(self, capsys):
         argv = ["spill", "--workload", "chains", "--chains", "8",
                 "--length", "6"]
         assert main(argv) == 0
         batched = capsys.readouterr().out
-        assert main(argv + ["--backend", "kernel"]) == 0
-        kernel = capsys.readouterr().out
-        assert "backend       : kernel" in kernel
+        assert main(argv + ["--backend", "dict"]) == 0
+        ref = capsys.readouterr().out
+        assert "backend       : dict" in ref
         moves = re.compile(r"moves\s+: \d+")
-        assert moves.search(kernel).group() == moves.search(batched).group()
+        assert moves.search(ref).group() == moves.search(batched).group()
 
-    def test_spill_kernel_backend_rejects_star(self, capsys):
+    @pytest.mark.parametrize("workload", ["star", "chains"])
+    def test_spill_kernel_backend_is_usage_error(self, workload, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["spill", "--workload", "star", "--ops", "16",
-                  "--backend", "kernel"])
+            main(["spill", "--workload", workload, "--backend", "kernel"])
         assert exc.value.code == 2
-        assert "chains workload only" in capsys.readouterr().err
+        assert "invalid choice: 'kernel'" in capsys.readouterr().err
 
     def test_sweep_smoke_resume_and_reproduce(self, tmp_path, capsys):
         """The harness subcommands end to end: sweep a smoke grid,
@@ -214,15 +214,18 @@ class TestExecution:
             == "mine"  # grid-file wins
         assert _resolve_grid(None, None, seed=0) is None
 
-    def test_spill_help_documents_repro_kernel(self):
-        """--help for the spill subcommand (and the module docstring)
-        document the REPRO_KERNEL execution-tier switch."""
+    def test_spill_backend_choices(self):
+        """--backend offers exactly the two strategy loops, and the
+        module docstring documents the same pair."""
         parser = build_parser()
         sub = next(
             a for a in parser._actions
             if isinstance(a, argparse._SubParsersAction)
         )
-        spill_help = sub.choices["spill"].format_help()
-        assert "REPRO_KERNEL" in spill_help
-        assert "kernel" in spill_help
-        assert "REPRO_KERNEL" in repro.cli.__doc__
+        backend = next(
+            a for a in sub.choices["spill"]._actions
+            if a.dest == "backend"
+        )
+        assert backend.choices == ["batched", "dict"]
+        assert backend.default == "batched"
+        assert "{batched,dict}" in repro.cli.__doc__

@@ -102,8 +102,7 @@ class TestDriverSeedPlumbing:
 class TestDefaultGridSpillCells:
     def test_spill_cell_list_is_pinned(self):
         """policy x backend is crossed on the sequential chains workload
-        only; the P-RBW star game gets one cell (no policy choice, no
-        kernel backend)."""
+        only; the P-RBW star game gets one cell (no policy choice)."""
         for seed in (0, 1):
             labels = [
                 spec.label for spec in default_grid(seed)
@@ -112,9 +111,9 @@ class TestDefaultGridSpillCells:
             assert labels == [
                 f"spill_star_lru_batched_s{seed}",
                 f"spill_chains_lru_batched_s{seed}",
-                f"spill_chains_lru_kernel_s{seed}",
+                f"spill_chains_lru_dict_s{seed}",
                 f"spill_chains_belady_batched_s{seed}",
-                f"spill_chains_belady_kernel_s{seed}",
+                f"spill_chains_belady_dict_s{seed}",
                 f"spill_forest_lru_batched_s{seed}",
             ]
 

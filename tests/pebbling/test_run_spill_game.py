@@ -3,8 +3,8 @@
 ``run_spill_game`` is the one entry point the harness, the CLI, the
 bound server and the benchmarks use to play a spill strategy.  Its
 contract is *move-for-move fidelity* to the backend it dispatches to:
-for any (CDAG, schedule, memory) every fast loop (``batched``, and
-``kernel`` for the sequential games) must reproduce the ``dict``
+for any (CDAG, schedule, memory) the ``batched`` fast path (the fused
+kernel for the sequential games) must reproduce the ``dict``
 reference loop's record — same move columns, same counts, same
 counters, same final pebble state after replay.  These tests pin that
 contract on randomized multi-component forests, the star and chains
@@ -37,8 +37,7 @@ from repro.pebbling import (
 )
 from repro.pebbling.workloads import component_forest_cdag, star_spill_setup
 
-SEQ_BACKENDS = ("batched", "dict", "kernel")
-PAR_BACKENDS = ("batched", "dict")
+BACKENDS = ("batched", "dict")
 
 
 def assert_same_game(a, b):
@@ -89,7 +88,7 @@ class TestSequentialDifferential:
         ref = spill_game_rbw(
             cdag, s, schedule=schedule, policy=policy, backend="dict"
         )
-        for backend in SEQ_BACKENDS:
+        for backend in BACKENDS:
             got = run_spill_game(
                 cdag, s, schedule=schedule, policy=policy, backend=backend
             )
@@ -104,14 +103,14 @@ class TestSequentialDifferential:
         ref = spill_game_redblue(
             cdag, s, schedule=schedule, policy=policy, backend="dict"
         )
-        for backend in SEQ_BACKENDS:
+        for backend in BACKENDS:
             got = run_spill_game(
                 cdag, s, schedule=schedule, policy=policy,
                 backend=backend, engine="redblue",
             )
             assert_same_game(ref, got)
 
-    @pytest.mark.parametrize("backend", SEQ_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_chains_workload_with_contiguous_schedule(self, backend):
         cdag = independent_chains_cdag(12, 8)
         schedule = dfs_schedule(cdag)
@@ -119,7 +118,7 @@ class TestSequentialDifferential:
         got = run_spill_game(cdag, 4, schedule=schedule, backend=backend)
         assert_same_game(ref, got)
 
-    @pytest.mark.parametrize("backend", SEQ_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_interleaved_schedule_through_tight_memory(self, backend):
         """The BFS order interleaves chains through three red pebbles,
         so values are evicted and reloaded between chain steps."""
@@ -130,13 +129,13 @@ class TestSequentialDifferential:
         assert_same_game(ref, got)
         assert got.summary()["loads"] > 0
 
-    @pytest.mark.parametrize("backend", SEQ_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_connected_stencil_matches(self, backend):
         cdag = grid_stencil_cdag((6, 6), 2)
         ref = spill_game_rbw(cdag, 6, backend="dict")
         assert_same_game(ref, run_spill_game(cdag, 6, backend=backend))
 
-    @pytest.mark.parametrize("backend", SEQ_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_zero_op_components_ride_along(self, backend):
         cdag = component_forest_cdag(3, 8, seed=1)
         lonely = ("lonely", 0)
@@ -158,7 +157,7 @@ class TestSequentialDifferential:
             cdag, s, schedule=schedule, engine=engine, backend="dict"
         )
         got = run_spill_game(
-            cdag, s, schedule=schedule, engine=engine, backend="kernel"
+            cdag, s, schedule=schedule, engine=engine, backend="batched"
         )
         ga, gb = game_cls(cdag, s), game_cls(cdag, s)
         ga.replay(ref)
@@ -168,7 +167,7 @@ class TestSequentialDifferential:
         if engine == "rbw":
             assert ga.white_ids == gb.white_ids
 
-    @pytest.mark.parametrize("backend", SEQ_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_capacity_error_matches_sequential(self, backend):
         """Too few red pebbles to fire an operation fails the same way
         through the dispatcher as through the game function."""
@@ -208,6 +207,14 @@ class TestDispatcherContract:
         with pytest.raises(ValueError, match="backend"):
             run_spill_game(cdag, 4, backend="gpu")
 
+    @pytest.mark.parametrize("engine", ["rbw", "redblue"])
+    def test_kernel_backend_rejected(self, engine):
+        """The retired ``"kernel"`` name is refused like any unknown
+        backend, naming the valid ones."""
+        cdag = component_forest_cdag(2, 6)
+        with pytest.raises(ValueError, match=r"\('batched', 'dict'\)"):
+            run_spill_game(cdag, 4, engine=engine, backend="kernel")
+
     def test_worker_pool_arguments_are_gone(self):
         """The dispatcher plays every game in-process: the old
         ``workers``/``mp_context`` keywords are not accepted."""
@@ -225,7 +232,7 @@ class TestParallelDifferential:
     def test_star_workload(self, num_ops):
         cdag, hierarchy = star_spill_setup(num_ops)
         ref = parallel_spill_game(cdag, hierarchy, backend="dict")
-        for backend in PAR_BACKENDS:
+        for backend in BACKENDS:
             got = run_spill_game(cdag, hierarchy, backend=backend)
             assert_same_parallel_game(ref, got)
 
@@ -252,7 +259,7 @@ class TestParallelDifferential:
         ref = parallel_spill_game(
             cdag, hierarchy, schedule=schedule, backend="dict"
         )
-        for backend in PAR_BACKENDS:
+        for backend in BACKENDS:
             got = run_spill_game(
                 cdag, hierarchy, schedule=schedule, backend=backend
             )
@@ -282,7 +289,7 @@ class TestParallelDifferential:
 
     def test_kernel_backend_rejected(self):
         cdag, hierarchy = star_spill_setup(4)
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(ValueError, match=r"\('batched', 'dict'\)"):
             run_spill_game(cdag, hierarchy, backend="kernel")
 
     def test_record_replays_end_to_end(self):
@@ -301,7 +308,7 @@ class TestParallelDifferential:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("backend", SEQ_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_same_inputs_byte_identical(self, backend):
         """The move columns are a pure function of (cdag, schedule,
         memory, policy): two runs on freshly built CDAGs agree byte for

@@ -1,9 +1,10 @@
 """Batched spill-strategy backend: equivalence, edge cases, validation.
 
-The batched (lazy-heap, flat-array) strategy loops must reproduce the
-dict reference *move for move* — these tests pin the full move columns,
-not just aggregate costs, on irregular randomized CDAGs as well as the
-structured shapes, and cover the edge cases the heap path could get
+The ``batched`` strategy loops (the fused kernel for the sequential
+games, the flat-array heap loop for P-RBW) must reproduce the dict
+reference *move for move* — these tests pin the full move columns, not
+just aggregate costs, on irregular randomized CDAGs as well as the
+structured shapes, and cover the edge cases the fast paths could get
 wrong: eviction ties, a single red pebble, spill-then-reload, and
 never-used-again values under Belady.
 """
@@ -25,6 +26,7 @@ from repro.pebbling import (
     MoveKind,
     ParallelRBWPebbleGame,
     RBWPebbleGame,
+    RedBluePebbleGame,
     parallel_spill_game,
     spill_game_rbw,
     spill_game_redblue,
@@ -124,9 +126,10 @@ class TestParallelBatchedEquivalence:
 
 
 class TestKernelBackendEquivalence:
-    """Tentpole: the fused vectorized kernel backend must reproduce the
-    batched and dict loops *move for move* — same columns, same
-    counters, same macro-step marks — on sequential and parallel games.
+    """The fused vectorized kernel behind the sequential ``batched``
+    backend must reproduce the dict loop *move for move* — same columns,
+    same counters, same macro-step marks — and its logs must pass a full
+    engine replay; P-RBW games replay through the bulk validator.
     """
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -135,16 +138,18 @@ class TestKernelBackendEquivalence:
     def test_random_irregular_cdags(self, seed, policy, spill, random_dag):
         cdag = random_dag(seed, 40)
         s = max(cdag.in_degree(v) for v in cdag.vertices) + 2
-        kern = spill(cdag, s, policy=policy, backend="kernel")
+        kern = spill(cdag, s, policy=policy, backend="batched")
         assert_same_game(
             spill(cdag, s, policy=policy, backend="dict"), kern
         )
-        assert_same_game(
-            spill(cdag, s, policy=policy, backend="batched"), kern
+        engine = (
+            RBWPebbleGame(cdag, s) if spill is spill_game_rbw
+            else RedBluePebbleGame(cdag, s, strict=False)
         )
+        assert engine.replay(kern).summary() == kern.summary()
 
     @pytest.mark.parametrize("policy", ["lru", "belady"])
-    def test_eviction_ties_match_batched(self, policy):
+    def test_eviction_ties_match_dict(self, policy):
         """Tied LRU/Belady victims resolve to the lowest vertex id in
         the kernel planner exactly as in the reference loops."""
         verts = [("a", 0), ("a", 1), ("x",), ("b", 0), ("b", 1), ("y",)]
@@ -159,8 +164,8 @@ class TestKernelBackendEquivalence:
             name="ties",
         )
         assert_same_game(
+            spill_game_rbw(cdag, 3, policy=policy, backend="dict"),
             spill_game_rbw(cdag, 3, policy=policy, backend="batched"),
-            spill_game_rbw(cdag, 3, policy=policy, backend="kernel"),
         )
 
     def test_single_red_pebble_zero_operand_ops(self):
@@ -168,21 +173,21 @@ class TestKernelBackendEquivalence:
             [("v", 0)], [], inputs=[], outputs=[("v", 0)], name="one"
         )
         assert_same_game(
+            spill_game_rbw(cdag, 1, backend="dict"),
             spill_game_rbw(cdag, 1, backend="batched"),
-            spill_game_rbw(cdag, 1, backend="kernel"),
         )
 
     def test_single_red_pebble_rejected_when_ops_have_operands(self):
         with pytest.raises(GameError, match="cannot fire"):
-            spill_game_rbw(chain_cdag(3), 1, backend="kernel")
+            spill_game_rbw(chain_cdag(3), 1, backend="batched")
 
     def test_spill_then_reload_round_trip(self):
         """Evicted live values come back via R1 in the kernel path too,
         and the produced log passes a full per-move engine replay."""
         cdag = independent_chains_cdag(12, 6)
-        record = spill_game_rbw(cdag, 4, backend="kernel")
+        record = spill_game_rbw(cdag, 4, backend="batched")
         assert_same_game(
-            spill_game_rbw(cdag, 4, backend="batched"), record
+            spill_game_rbw(cdag, 4, backend="dict"), record
         )
         assert record.counts[MoveKind.LOAD] > 12
         replayed = RBWPebbleGame(cdag, 4).replay(record)
@@ -190,17 +195,17 @@ class TestKernelBackendEquivalence:
 
     def test_repeat_run_identical(self):
         """Two kernel runs over the same (CDAG, policy, S) are
-        move-for-move equal to each other and to ``batched``."""
+        move-for-move equal to each other and to ``dict``."""
         cdag = grid_stencil_cdag((7,), 5)
-        first = spill_game_rbw(cdag, 4, backend="kernel")
-        second = spill_game_rbw(cdag, 4, backend="kernel")
+        first = spill_game_rbw(cdag, 4, backend="batched")
+        second = spill_game_rbw(cdag, 4, backend="batched")
         assert_same_game(first, second)
-        assert_same_game(spill_game_rbw(cdag, 4, backend="batched"), second)
+        assert_same_game(spill_game_rbw(cdag, 4, backend="dict"), second)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_parallel_random_clusters(self, seed, random_dag):
-        """P-RBW has no kernel backend; its games replay through the
-        vectorized P-RBW validator with identical per-level traffic."""
+        """P-RBW games replay through the vectorized P-RBW validator
+        with identical per-level traffic."""
         cdag = random_dag(seed, 35)
         maxd = max(cdag.in_degree(v) for v in cdag.vertices)
         hierarchy = MemoryHierarchy.cluster(
@@ -209,8 +214,6 @@ class TestKernelBackendEquivalence:
             registers_per_core=maxd + 2,
             cache_size=2 * maxd + 4,
         )
-        with pytest.raises(ValueError, match="'batched', 'dict'"):
-            parallel_spill_game(cdag, hierarchy, backend="kernel")
         a = parallel_spill_game(cdag, hierarchy, backend="batched")
         b = ParallelRBWPebbleGame(cdag, hierarchy).replay(a)
         assert_same_game(a, b)
@@ -234,8 +237,8 @@ class TestKernelBackendEquivalence:
 
     def test_spilled_kernel_game_matches_in_ram(self):
         cdag = grid_stencil_cdag((6,), 4)
-        in_ram = spill_game_rbw(cdag, 4, backend="kernel")
-        spilled = spill_game_rbw(cdag, 4, backend="kernel", spill=True)
+        in_ram = spill_game_rbw(cdag, 4, backend="dict")
+        spilled = spill_game_rbw(cdag, 4, backend="batched", spill=True)
         assert spilled.log.is_spilled
         assert_same_game(in_ram, spilled)
         spilled.log.close()
@@ -352,6 +355,18 @@ class TestUniformEntryValidation:
         for bad in (0, -3, 2.5, "4", True):
             with pytest.raises(ValueError):
                 spill_game_rbw(cdag, bad, schedule=bogus_schedule)
+
+    def test_kernel_backend_name_is_retired(self):
+        """``"kernel"`` is no longer a backend name: every entry point
+        refuses it, naming the two valid backends."""
+        cdag = chain_cdag(3)
+        for spill in (spill_game_rbw, spill_game_redblue):
+            with pytest.raises(ValueError, match=r"\('batched', 'dict'\)"):
+                spill(cdag, 2, backend="kernel")
+        with pytest.raises(ValueError, match=r"\('batched', 'dict'\)"):
+            parallel_spill_game(
+                cdag, MemoryHierarchy.two_level(4), backend="kernel"
+            )
 
     def test_policy_error_message_consistent_across_backends(self):
         cdag = chain_cdag(2)

@@ -4,6 +4,7 @@ clients sharing one store."""
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -36,6 +37,17 @@ class TestIntrospection:
         assert health["status"] == "ok"
         assert health["uptime_s"] >= 0
         assert health["store"].endswith("svc.db")
+
+    @pytest.mark.parametrize("jump_s", [1e9, -1e9])
+    def test_uptime_ignores_wall_clock_jumps(self, server, monkeypatch,
+                                             jump_s):
+        """Every uptime runs on the monotonic clock: a 1e9 s wall-clock
+        step either way leaves it small and non-negative."""
+        service = server.service
+        monkeypatch.setattr(time, "time", lambda: time.monotonic() + jump_s)
+        for view in (service.health(), service.stats(),
+                     service.metrics_view()):
+            assert 0 <= view["uptime_s"] < 1e6
 
     def test_stats_reports_traffic_and_store(self, client):
         client.bound(builder="chain", params={"length": 8}, s=2)
@@ -126,12 +138,14 @@ class TestErrors:
         assert exc.value.status == 400
         assert "unknown param 'workers'" in exc.value.message
 
-    def test_pebble_star_kernel_is_400(self, client):
-        """P-RBW has no kernel backend; the refusal names the valid ones."""
+    @pytest.mark.parametrize("workload", ["star", "chains"])
+    def test_pebble_kernel_backend_is_400(self, client, workload):
+        """``kernel`` is not a backend name; the refusal names the
+        valid ones."""
         with pytest.raises(ServiceError) as exc:
-            client.pebble(params={"workload": "star", "backend": "kernel"})
+            client.pebble(params={"workload": workload, "backend": "kernel"})
         assert exc.value.status == 400
-        assert "'batched', 'dict'" in exc.value.message
+        assert "('batched', 'dict')" in exc.value.message
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceError) as exc:
