@@ -40,10 +40,13 @@ test-service:
 
 # Fleet suites: controller queue/lease/retry unit tests, the localhost
 # controller + 2-worker end-to-end sweep (byte-identical to
-# `sweep --jobs 1`), and the fault-injection suite (SIGKILLed worker,
-# dropped heartbeats, SIGKILLed controller mid-grid + restart).
+# `sweep --jobs 1`), the fault-injection suite (SIGKILLed worker,
+# dropped heartbeats, SIGKILLed controller mid-grid + restart), and the
+# framing and fuzz suites of the JSON server core, which drive the
+# controller too.
 test-fleet:
-	$(PY) -m pytest tests/fleet -q
+	$(PY) -m pytest tests/fleet tests/service/test_http_framing.py \
+	  tests/service/test_http_fuzz.py -q
 
 # Observability suites: metrics registry / event ring / dashboard unit
 # tests, GET /metrics on both HTTP servers (schema + pinned counters +

@@ -65,6 +65,7 @@ compares per row and is inert unless the variable is set.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -795,12 +796,15 @@ def run_grid(
             None if store_path is None else str(store_path), log,
             events=events,
         )
-    elif store_path is not None:
-        from ..store.db import ArtifactStore
-        from ..store.runtime import activated
-
+    else:
         executed = []
-        with ArtifactStore(store_path) as store, activated(store):
+        with contextlib.ExitStack() as stack:
+            if store_path is not None:
+                from ..store.db import ArtifactStore
+                from ..store.runtime import activated
+
+                store = stack.enter_context(ArtifactStore(store_path))
+                stack.enter_context(activated(store))
             for spec in to_run:
                 run_dir = root / spec.label
                 if run_dir.exists():
@@ -813,20 +817,6 @@ def run_grid(
                 executed.append(spec.label)
                 if events is not None:
                     events.emit("cell.committed", label=spec.label)
-    else:
-        executed = []
-        for spec in to_run:
-            run_dir = root / spec.label
-            if run_dir.exists():
-                shutil.rmtree(run_dir)
-            run_dir.mkdir()
-            log(f"[{decisions[spec.label]}]".ljust(10) + spec.label)
-            if events is not None:
-                events.emit("cell.started", label=spec.label)
-            _execute_cell(spec, run_dir, registry, kill)
-            executed.append(spec.label)
-            if events is not None:
-                events.emit("cell.committed", label=spec.label)
     log(
         f"executed {len(executed)} cell(s), skipped {len(skipped)}"
         + (f", FAILED {len(failed)}" if failed else "")

@@ -3,9 +3,9 @@
 One :class:`FleetController` owns the authoritative schedule of a grid
 sweep: which cells are pending, delayed (backing off after a failure),
 leased to a worker, committed, or permanently failed.  The HTTP layer
-(:func:`make_fleet_server`) is the same dependency-free
-``ThreadingHTTPServer`` plumbing as the bound server — every endpoint
-is a JSON-in/JSON-out call into the controller under one lock.
+(:func:`make_fleet_server`) is the JSON server core the bound server
+runs on too (:mod:`repro.utils.http`) — every endpoint is a
+JSON-in/JSON-out call into the controller under one lock.
 
 Design rules, in order:
 
@@ -62,7 +62,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -73,14 +72,8 @@ from ..evaluation.harness import (
     scan_results_root,
 )
 from ..evaluation.manifest import canonical_config, read_summary
-from ..obs import (
-    OBS_SCHEMA,
-    EventRing,
-    MetricsRegistry,
-    labeled,
-    signal_from_error,
-)
-from ..utils.http import JSONRequestHandler
+from ..obs import OBS_SCHEMA, EventRing, MetricsRegistry, signal_from_error
+from ..utils.http import JSONServer, Routes, serve_until_interrupted
 
 __all__ = [
     "DEFAULT_FLEET_PORT",
@@ -612,74 +605,40 @@ class FleetController:
         }
 
     # ------------------------------------------------------------------
-    # HTTP dispatch
+    # HTTP routes
     # ------------------------------------------------------------------
-    def handle(self, method: str, path: str, body: Optional[Dict]):
-        """``(status, response-mapping)`` for one request."""
-        endpoint = f"{method} {path}"
-        start = time.perf_counter()
-        status, payload = self._dispatch(method, path, body)
-        elapsed = time.perf_counter() - start
-        self.metrics.counter(labeled("http.requests", endpoint)).inc()
-        if status >= 400:
-            self.metrics.counter(labeled("http.errors", endpoint)).inc()
-        self.metrics.histogram(labeled("http.latency_s", endpoint)).observe(
-            elapsed
-        )
-        return status, payload
+    def routes(self) -> Routes:
+        return {
+            ("GET", "/health"): lambda _body: self.health(),
+            ("GET", "/status"): lambda _body: self.status(),
+            ("GET", "/metrics"): lambda _body: self.metrics_view(),
+            ("POST", "/v1/grid"): self._grid_route,
+            ("POST", "/v1/register"): lambda body: self.register(
+                str(body.get("worker", "")), int(body.get("slots", 1))
+            ),
+            ("POST", "/v1/lease"): lambda body: self.lease(
+                str(body.get("worker", ""))
+            ),
+            ("POST", "/v1/heartbeat"): self._heartbeat_route,
+            ("POST", "/v1/report"): lambda body: self.report(
+                str(body.get("worker", "")),
+                str(body.get("label", "")),
+                bool(body.get("ok", False)),
+                str(body.get("error", "")),
+            ),
+        }
 
-    def _dispatch(self, method: str, path: str, body: Optional[Dict]):
-        body = body or {}
-        try:
-            if (method, path) == ("GET", "/health"):
-                return 200, self.health()
-            if (method, path) == ("GET", "/status"):
-                return 200, self.status()
-            if (method, path) == ("GET", "/metrics"):
-                return 200, self.metrics_view()
-            if (method, path) == ("POST", "/v1/grid"):
-                cells = body.get("cells")
-                if not isinstance(cells, list):
-                    raise ValueError("'cells' must be a list of cell objects")
-                return 200, self.submit_grid(cells)
-            if (method, path) == ("POST", "/v1/register"):
-                return 200, self.register(
-                    str(body.get("worker", "")), int(body.get("slots", 1))
-                )
-            if (method, path) == ("POST", "/v1/lease"):
-                return 200, self.lease(str(body.get("worker", "")))
-            if (method, path) == ("POST", "/v1/heartbeat"):
-                labels = body.get("labels") or []
-                if not isinstance(labels, list):
-                    raise ValueError("'labels' must be a list")
-                return 200, self.heartbeat(
-                    str(body.get("worker", "")), labels
-                )
-            if (method, path) == ("POST", "/v1/report"):
-                return 200, self.report(
-                    str(body.get("worker", "")),
-                    str(body.get("label", "")),
-                    bool(body.get("ok", False)),
-                    str(body.get("error", "")),
-                )
-            self.metrics.counter("http.unmatched").inc()
-            return 404, {"error": f"unknown endpoint {method} {path}"}
-        except (KeyError, TypeError, ValueError) as exc:
-            return 400, {"error": str(exc)}
-        except Exception as exc:  # pragma: no cover - defensive
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+    def _grid_route(self, body: Dict) -> Dict:
+        cells = body.get("cells")
+        if not isinstance(cells, list):
+            raise ValueError("'cells' must be a list of cell objects")
+        return self.submit_grid(cells)
 
-
-class _FleetHandler(JSONRequestHandler):
-    server_version = "repro-fleet/1"
-
-    def route(self, method: str, path: str, body: Optional[Dict]):
-        return self.server.controller.handle(method, path, body)
-
-
-class _FleetServer(ThreadingHTTPServer):
-    daemon_threads = True
-    controller: FleetController
+    def _heartbeat_route(self, body: Dict) -> Dict:
+        labels = body.get("labels") or []
+        if not isinstance(labels, list):
+            raise ValueError("'labels' must be a list")
+        return self.heartbeat(str(body.get("worker", "")), labels)
 
 
 def make_fleet_server(
@@ -688,13 +647,14 @@ def make_fleet_server(
     port: int = DEFAULT_FLEET_PORT,
     controller: Optional[FleetController] = None,
     **controller_opts,
-) -> _FleetServer:
+) -> JSONServer:
     """A ready-to-serve controller bound to ``host:port`` (``port=0``
     picks a free port — see ``server_port``).  The caller owns the
-    loop: ``serve_forever()`` / ``shutdown()``."""
+    loop: ``serve_in_thread()`` / ``shutdown()``."""
     if controller is None:
         controller = FleetController(root, **controller_opts)
-    server = _FleetServer((host, port), _FleetHandler)
+    server = JSONServer((host, port), controller.routes(),
+                        controller.metrics, version=FLEET_SCHEMA)
     server.controller = controller
     return server
 
@@ -714,15 +674,9 @@ def serve_fleet(
                                **controller_opts)
     if grid is not None:
         server.controller.submit_grid([spec_to_wire(s) for s in grid])
-    log(
+    serve_until_interrupted(server, [
         f"repro fleet controller on http://{host}:{server.server_port} "
-        f"(results root: {root})"
-    )
-    log("endpoints: GET /health /status /metrics; "
-        "POST /v1/{grid,register,lease,heartbeat,report}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        log("shutting down")
-    finally:
-        server.shutdown()
+        f"(results root: {root})",
+        "endpoints: GET /health /status /metrics; "
+        "POST /v1/{grid,register,lease,heartbeat,report}",
+    ], log)

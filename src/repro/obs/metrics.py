@@ -73,8 +73,8 @@ Number = Union[int, float]
 
 def labeled(name: str, label: str) -> str:
     """The repo's one-dimension label convention:
-    ``labeled("http.requests", "GET /health")`` ->
-    ``"http.requests{GET /health}"``."""
+    ``labeled("http.latency_s", "GET /health")`` ->
+    ``"http.latency_s{GET /health}"``."""
     return f"{name}{{{label}}}"
 
 
@@ -209,10 +209,9 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create instrument registry, thread-safe throughout.
 
-    One registry per server (the bound server and the fleet controller
-    each own one); subsystems they host — the artifact store, the event
-    ring consumers — are handed the same registry so one ``/metrics``
-    scrape shows the whole process.
+    One owner per registry: the fleet controller owns one, and the
+    bound server serves the one its artifact store owns, so one
+    ``/metrics`` scrape shows the whole process.
     """
 
     def __init__(self) -> None:
@@ -252,6 +251,14 @@ class MetricsRegistry:
                     f"{inst.edges}"
                 )
             return inst
+
+    def counter_values(self, prefix: str = "") -> Dict[str, Number]:
+        """Current values of the counters whose names start with
+        ``prefix``; creates none."""
+        with self._mu:
+            counters = [c for n, c in self._counters.items()
+                        if n.startswith(prefix)]
+        return {c.name: c.value for c in counters}
 
     def snapshot(self) -> Dict:
         """A JSON-safe view of every instrument (plain ints/floats,

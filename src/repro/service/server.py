@@ -1,9 +1,9 @@
 """The memoized bound server: analysis-as-a-service over the store.
 
-A long-running, multi-threaded HTTP server (stdlib
-:class:`http.server.ThreadingHTTPServer` — no framework dependency)
-fronting one :class:`~repro.store.db.ArtifactStore`.  Every query is a
-pure function of its JSON body, so the request handler is just: content
+A long-running, multi-threaded HTTP server (the stdlib-only JSON server
+core of :mod:`repro.utils.http` — no framework dependency) fronting
+one :class:`~repro.store.db.ArtifactStore`.  Every query is a pure
+function of its JSON body, so the request handler is just: content
 address -> store lookup -> (on miss) compute under the single-flight
 lock -> publish -> respond.  N concurrent identical requests compute
 once; everyone else waits for the leader and reads the published bytes.
@@ -15,8 +15,8 @@ Endpoints (full request/response examples in ``docs/service.md``):
 ``GET /stats``           store stats (hit rates, entries, DB size) +
                          per-endpoint request counters
 ``GET /metrics``         observability snapshot (:mod:`repro.obs`):
-                         request counters + latency histograms + mirrored
-                         store counters, plus the recent event ring —
+                         request counters + latency histograms + store
+                         counters, plus the recent event ring —
                          canonical JSON, byte-stable per state
 ``POST /v1/compiled``    compile-snapshot query: ``{builder, params, seed}``
 ``POST /v1/schedule``    schedule query: ``+ {kind: dfs|minlive,
@@ -27,19 +27,20 @@ Endpoints (full request/response examples in ``docs/service.md``):
                          cell parameter set
 =======================  ====================================================
 
-Errors are JSON too: ``400`` for malformed bodies or unknown
-builders/params (the ``ValueError`` text is the message), ``404`` for
-unknown routes, ``500`` for unexpected failures.  Responses carry the
-artifact ``key`` and a ``cached`` flag so clients (and the load
-benchmark) can audit cold-vs-warm behavior per request.
+The HTTP plumbing is the shared JSON server core
+(:mod:`repro.utils.http`), so errors are JSON too: ``400`` for
+malformed bodies or bad fields, unknown builders or params (the
+exception text is the message), ``413`` for bodies over the core's
+cap, ``404`` for unknown routes, ``500`` for unexpected failures.
+Responses carry the artifact ``key`` and a ``cached`` flag so clients
+(and the load benchmark) can audit cold-vs-warm behavior per request.
 
 Doctest::
 
     >>> import tempfile, os
     >>> from repro.service import make_server, ServiceClient
-    >>> from threading import Thread
     >>> srv = make_server(os.path.join(tempfile.mkdtemp(), "s.db"), port=0)
-    >>> Thread(target=srv.serve_forever, daemon=True).start()
+    >>> _ = srv.serve_in_thread()
     >>> client = ServiceClient(f"http://127.0.0.1:{srv.server_port}")
     >>> client.health()["status"]
     'ok'
@@ -53,12 +54,10 @@ Doctest::
 
 from __future__ import annotations
 
-import threading
 import time
-from http.server import ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
-from ..obs import OBS_SCHEMA, EventRing, MetricsRegistry, labeled
+from ..obs import OBS_SCHEMA
 from ..store.analysis import (
     cached_bound,
     cached_compiled_payload,
@@ -69,7 +68,7 @@ from ..store.analysis import (
 from ..store.codec import unpack_arrays
 from ..store.db import ArtifactStore
 from ..store.keys import artifact_key
-from ..utils.http import JSONRequestHandler
+from ..utils.http import JSONServer, Routes, serve_until_interrupted
 
 __all__ = ["BoundService", "make_server", "serve", "DEFAULT_PORT"]
 
@@ -80,34 +79,23 @@ SERVICE_SCHEMA = "repro-service/1"
 class BoundService:
     """Endpoint logic, independent of HTTP plumbing (unit-testable).
 
-    Wraps one :class:`ArtifactStore` plus request accounting; every
-    ``handle_*`` method takes the parsed JSON body and returns a
-    JSON-safe response mapping.  Raises ``ValueError`` for client
-    errors (mapped to 400 by the HTTP layer).
+    Wraps one :class:`ArtifactStore` and reports into its registry and
+    event ring, so one scrape covers HTTP and store traffic.  Every
+    query method takes the parsed JSON body and returns a JSON-safe
+    response mapping; :meth:`routes` is the table the HTTP core serves.
     """
 
     def __init__(self, store: ArtifactStore) -> None:
         self.store = store
+        self.metrics = store.metrics
+        self.events = store.events
         self._started_mono = time.monotonic()
-        self._mu = threading.Lock()
-        self.requests: Dict[str, int] = {}
-        self.metrics = MetricsRegistry()
-        self.events = EventRing()
-        if store.metrics is None:
-            # One scrape covers HTTP + store traffic; a store that came
-            # in with its own registry keeps it.
-            store.bind_obs(self.metrics, self.events)
-
-    def _count(self, endpoint: str) -> None:
-        with self._mu:
-            self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
 
     def close(self) -> None:
         self.store.close()
 
     # -- introspection -------------------------------------------------
     def health(self) -> Dict:
-        self._count("/health")
         return {
             "status": "ok",
             "schema": SERVICE_SCHEMA,
@@ -116,9 +104,11 @@ class BoundService:
         }
 
     def stats(self) -> Dict:
-        self._count("/stats")
-        with self._mu:
-            requests = dict(self.requests)
+        prefix = "http.requests{"
+        requests = {
+            name[len(prefix):-1]: value
+            for name, value in self.metrics.counter_values(prefix).items()
+        }
         return {
             "schema": SERVICE_SCHEMA,
             "uptime_s": time.monotonic() - self._started_mono,
@@ -138,7 +128,6 @@ class BoundService:
         return builder, params, int(body.get("seed", 0))
 
     def compiled(self, body: Dict) -> Dict:
-        self._count("/v1/compiled")
         builder, params, seed = self._query_triple(body)
         payload, hit = cached_compiled_payload(
             self.store, builder, params, seed
@@ -155,7 +144,6 @@ class BoundService:
         }
 
     def schedule(self, body: Dict) -> Dict:
-        self._count("/v1/schedule")
         builder, params, seed = self._query_triple(body)
         kind = body.get("kind", "dfs")
         ids, hit = cached_schedule(self.store, builder, params, seed, kind)
@@ -172,7 +160,6 @@ class BoundService:
         return out
 
     def bound(self, body: Dict) -> Dict:
-        self._count("/v1/bound")
         builder, params, seed = self._query_triple(body)
         s = int(body.get("s", 16))
         method = body.get("method", "wavefront")
@@ -198,7 +185,6 @@ class BoundService:
         return {"key": artifact_key("bound", spec), "cached": hit, **result}
 
     def pebble(self, body: Dict) -> Dict:
-        self._count("/v1/pebble")
         params = body.get("params")
         if params is not None and not isinstance(params, dict):
             raise ValueError("'params' must be a mapping when present")
@@ -209,10 +195,9 @@ class BoundService:
     # -- observability -------------------------------------------------
     def metrics_view(self) -> Dict:
         """The ``GET /metrics`` payload: instrument snapshot (request
-        counters, per-endpoint latency histograms, mirrored ``store.*``
+        counters, per-endpoint latency histograms, ``store.*``
         counters) plus the recent event ring.  Canonical JSON on the
         wire, so two scrapes of the same state are byte-identical."""
-        self._count("/metrics")
         return {
             "schema": SERVICE_SCHEMA,
             "obs_schema": OBS_SCHEMA,
@@ -221,62 +206,16 @@ class BoundService:
             "events": self.events.snapshot(limit=256),
         }
 
-    # -- dispatch ------------------------------------------------------
-    ROUTES = {
-        ("GET", "/health"): "health",
-        ("GET", "/stats"): "stats",
-        ("GET", "/metrics"): "metrics_view",
-        ("POST", "/v1/compiled"): "compiled",
-        ("POST", "/v1/schedule"): "schedule",
-        ("POST", "/v1/bound"): "bound",
-        ("POST", "/v1/pebble"): "pebble",
-    }
-
-    def handle(self, method: str, path: str, body: Optional[Dict]):
-        """``(status, response-mapping)`` for one request."""
-        name = self.ROUTES.get((method, path))
-        if name is None:
-            self.metrics.counter("http.unmatched").inc()
-            return 404, {"error": f"unknown endpoint {method} {path}"}
-        endpoint = f"{method} {path}"
-        start = time.perf_counter()
-        try:
-            if method == "GET":
-                status, payload = 200, getattr(self, name)()
-            else:
-                status, payload = 200, getattr(self, name)(body or {})
-        except ValueError as exc:
-            status, payload = 400, {"error": str(exc)}
-        except Exception as exc:  # pragma: no cover - defensive
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        elapsed = time.perf_counter() - start
-        self.metrics.counter(labeled("http.requests", endpoint)).inc()
-        if status >= 400:
-            self.metrics.counter(labeled("http.errors", endpoint)).inc()
-        self.metrics.histogram(labeled("http.latency_s", endpoint)).observe(
-            elapsed
-        )
-        return status, payload
-
-
-class _Handler(JSONRequestHandler):
-    server_version = "repro-service/1"
-
-    def route(self, method: str, path: str, body: Optional[Dict]):
-        return self.server.service.handle(method, path, body)
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    service: BoundService
-
-    def process_request_thread(self, request, client_address) -> None:
-        # One thread per connection: hand its store connection back as
-        # the thread ends, or every request would leave one open.
-        try:
-            super().process_request_thread(request, client_address)
-        finally:
-            self.service.store.release_connection()
+    def routes(self) -> Routes:
+        return {
+            ("GET", "/health"): lambda _body: self.health(),
+            ("GET", "/stats"): lambda _body: self.stats(),
+            ("GET", "/metrics"): lambda _body: self.metrics_view(),
+            ("POST", "/v1/compiled"): self.compiled,
+            ("POST", "/v1/schedule"): self.schedule,
+            ("POST", "/v1/bound"): self.bound,
+            ("POST", "/v1/pebble"): self.pebble,
+        }
 
 
 def make_server(
@@ -284,14 +223,20 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
     store: Optional[ArtifactStore] = None,
-) -> _Server:
+) -> JSONServer:
     """A ready-to-serve threading HTTP server bound to ``host:port``
     (``port=0`` picks a free port — see ``server_port``).  The caller
-    owns the loop: ``serve_forever()`` / ``shutdown()``; close the
+    runs and stops it: ``serve_in_thread()`` / ``shutdown()``; close the
     store via ``server.service.close()``."""
     service = BoundService(store if store is not None
                            else ArtifactStore(db_path))
-    server = _Server((host, port), _Handler)
+    server = JSONServer(
+        (host, port), service.routes(), service.metrics,
+        version=SERVICE_SCHEMA,
+        # one thread per connection: hand its store connection back as
+        # the thread ends, or every request would leave one open
+        on_thread_end=service.store.release_connection,
+    )
     server.service = service
     return server
 
@@ -304,16 +249,9 @@ def serve(
 ) -> None:  # pragma: no cover - blocking CLI loop
     """Blocking entry point of ``repro serve``."""
     server = make_server(db_path, host=host, port=port)
-    log(
+    serve_until_interrupted(server, [
         f"repro service listening on http://{host}:{server.server_port} "
-        f"(store: {db_path})"
-    )
-    log("endpoints: GET /health /stats /metrics; "
-        "POST /v1/compiled /v1/schedule /v1/bound /v1/pebble")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        log("shutting down")
-    finally:
-        server.shutdown()
-        server.service.close()
+        f"(store: {db_path})",
+        "endpoints: GET /health /stats /metrics; "
+        "POST /v1/compiled /v1/schedule /v1/bound /v1/pebble",
+    ], log, close=server.service.close)

@@ -55,9 +55,16 @@ import uuid
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
+from ..obs import EventRing, MetricsRegistry
+
 __all__ = ["ArtifactStore", "STORE_SCHEMA_VERSION", "DEFAULT_MMAP_BYTES"]
 
 STORE_SCHEMA_VERSION = "repro-store/1"
+
+#: the traffic counters of :attr:`ArtifactStore.counters`
+COUNTERS = ("hits", "misses", "puts", "corrupt", "flights", "cross_flights",
+            "claim_takeovers", "claim_skew_takeovers")
+
 DEFAULT_MMAP_BYTES = 256 * 1024 * 1024
 
 _SCHEMA = """
@@ -139,17 +146,16 @@ class ArtifactStore:
     rest, so a long-lived server holds a bounded number of connections
     however many request threads it has run.
 
-    ``counters`` tracks process-lifetime traffic: ``hits`` / ``misses``
-    / ``puts`` / ``corrupt`` / ``flights`` (calls that waited behind an
-    identical in-flight computation).
-
-    ``metrics`` / ``events`` optionally bind the store to an
-    observability registry and event ring (:mod:`repro.obs`): every
-    ``counters`` tick is mirrored as a ``store.<name>`` counter, gc
-    passes are counted (``store.gc_passes`` /
-    ``store.gc_removed_bytes``) and emitted as ``gc.pass`` events, and
-    corruption recoveries / claim takeovers become events too.  A host
-    server can also attach after construction via :meth:`bind_obs`.
+    The store reports into an observability registry and event ring
+    (:mod:`repro.obs`): the ``metrics`` / ``events`` passed in, or its
+    own.  Traffic ticks ``store.<name>`` counters (``hits`` / ``misses``
+    / ``puts`` / ``corrupt`` / ``flights`` — calls that waited behind an
+    identical in-flight computation — and the claim counters), read
+    back through the :attr:`counters` view.  Gc passes are counted
+    (``store.gc_passes`` / ``store.gc_removed_bytes``) and emitted as
+    ``gc.pass`` events, and corruption recoveries / claim takeovers
+    become events too.  A host server adopts both, so one scrape covers
+    its own and the store's traffic.
     """
 
     #: released connections kept open for reuse by later threads
@@ -180,20 +186,9 @@ class ArtifactStore:
         self._all_conns = []
         self._idle_conns = []
         self._conns_mu = threading.Lock()
-        self._counter_mu = threading.Lock()
         self._flight = _SingleFlight()
-        self.metrics = metrics
-        self.events = events
-        self.counters: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "puts": 0,
-            "corrupt": 0,
-            "flights": 0,
-            "cross_flights": 0,
-            "claim_takeovers": 0,
-            "claim_skew_takeovers": 0,
-        }
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self.events = EventRing() if events is None else events
         self._conn()  # create the schema eagerly so failures surface here
 
     # ------------------------------------------------------------------
@@ -273,31 +268,15 @@ class ArtifactStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _count(self, name: str, delta: int = 1) -> None:
-        with self._counter_mu:
-            self.counters[name] += delta
-        if self.metrics is not None:
-            self.metrics.counter(f"store.{name}").inc(delta)
+    def _count(self, name: str) -> None:
+        self.metrics.counter(f"store.{name}").inc()
 
-    def _emit(self, kind: str, **fields) -> None:
-        if self.events is not None:
-            self.events.emit(kind, **fields)
-
-    def bind_obs(self, metrics, events=None) -> None:
-        """Attach an observability registry (and optionally an event
-        ring) after construction — the bound server does this so one
-        ``GET /metrics`` scrape covers HTTP and store traffic.  The
-        counters accumulated so far are carried into the registry, so
-        the mirrored ``store.*`` counters stay monotonic and complete.
-        """
-        with self._counter_mu:
-            current = dict(self.counters)
-        for name, value in current.items():
-            if value:
-                metrics.counter(f"store.{name}").inc(value)
-        self.metrics = metrics
-        if events is not None:
-            self.events = events
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Process-lifetime traffic, read from the ``store.*`` counters
+        of :attr:`metrics` (a fresh dict on every read)."""
+        ticks = self.metrics.counter_values("store.")
+        return {name: ticks.get(f"store.{name}", 0) for name in COUNTERS}
 
     # ------------------------------------------------------------------
     # Point reads and writes
@@ -328,8 +307,8 @@ class ArtifactStore:
             self._count("misses")
             conn.execute("DELETE FROM artifacts WHERE key = ?", (key,))
             conn.commit()
-            self._emit("store.corrupt_recovered", key=key,
-                       nbytes=int(nbytes))
+            self.events.emit("store.corrupt_recovered", key=key,
+                             nbytes=int(nbytes))
             return None
         conn.execute(
             "UPDATE artifacts SET last_used_s = ?, hits = hits + 1 "
@@ -446,8 +425,8 @@ class ArtifactStore:
                 self._count("claim_takeovers")
                 if state == "skewed":
                     self._count("claim_skew_takeovers")
-                self._emit("store.claim_takeover", key=key,
-                           previous_owner=str(owner), state=state)
+                self.events.emit("store.claim_takeover", key=key,
+                                 previous_owner=str(owner), state=state)
                 return True
             return False
         conn.commit()
@@ -581,8 +560,7 @@ class ArtifactStore:
         db_bytes = self.path.stat().st_size if self.path.exists() else 0
         wal = self.path.with_name(self.path.name + "-wal")
         wal_bytes = wal.stat().st_size if wal.exists() else 0
-        with self._counter_mu:
-            counters = dict(self.counters)
+        counters = self.counters
         lookups = counters["hits"] + counters["misses"]
         return {
             "schema": STORE_SCHEMA_VERSION,
@@ -679,13 +657,12 @@ class ArtifactStore:
             conn.execute("VACUUM")
             conn.commit()
         report = {"removed": int(removed), "removed_bytes": int(removed_bytes)}
-        if self.metrics is not None:
-            self.metrics.counter("store.gc_passes").inc()
-            self.metrics.counter("store.gc_removed").inc(report["removed"])
-            self.metrics.counter("store.gc_removed_bytes").inc(
-                report["removed_bytes"]
-            )
-        self._emit("gc.pass", **report)
+        self.metrics.counter("store.gc_passes").inc()
+        self.metrics.counter("store.gc_removed").inc(report["removed"])
+        self.metrics.counter("store.gc_removed_bytes").inc(
+            report["removed_bytes"]
+        )
+        self.events.emit("gc.pass", **report)
         return report
 
     def clear(self) -> int:

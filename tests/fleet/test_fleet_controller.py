@@ -11,6 +11,7 @@ from repro.fleet.controller import (
     spec_from_wire,
     spec_to_wire,
 )
+from repro.utils.http import dispatch
 
 
 def _run_quick(params, seed):
@@ -170,9 +171,13 @@ class TestIntrospection:
 
     def test_http_dispatch_maps_errors(self, tmp_path):
         ctl = make_controller(tmp_path)
-        assert ctl.handle("GET", "/nope", None)[0] == 404
-        status, body = ctl.handle("POST", "/v1/grid", {"cells": "x"})
+
+        def handle(method, path, body):
+            return dispatch(ctl.routes(), ctl.metrics, method, path, body)
+
+        assert handle("GET", "/nope", {})[0] == 404
+        status, body = handle("POST", "/v1/grid", {"cells": "x"})
         assert status == 400 and "cells" in body["error"]
-        status, body = ctl.handle("POST", "/v1/lease", {})
+        status, body = handle("POST", "/v1/lease", {})
         assert status == 400
-        assert ctl.handle("GET", "/health", None)[0] == 200
+        assert handle("GET", "/health", {})[0] == 200

@@ -53,7 +53,7 @@ class TestIntrospection:
         client.bound(builder="chain", params={"length": 8}, s=2)
         client.bound(builder="chain", params={"length": 8}, s=2)
         stats = client.stats()
-        assert stats["requests"]["/v1/bound"] == 2
+        assert stats["requests"]["POST /v1/bound"] == 2
         store = stats["store"]
         assert store["journal_mode"] == "wal"
         assert store["entries"] >= 2  # compiled + bound

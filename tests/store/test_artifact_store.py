@@ -2,6 +2,7 @@
 (:mod:`repro.store.db`) and the codec/key layers under it."""
 
 import sqlite3
+import sys
 import threading
 
 import numpy as np
@@ -50,6 +51,43 @@ class TestRoundtrip:
         assert store.delete(KEY) is True
         assert store.delete(KEY) is False
         assert store.get(KEY) is None
+
+    def test_counters_are_views_of_the_registry(self, tmp_path):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        with ArtifactStore(tmp_path / "v.db", metrics=registry) as s:
+            assert s.metrics is registry
+            assert set(s.counters.values()) == {0}
+            assert registry.snapshot()["counters"] == {}  # none created
+            s.get(KEY)
+            s.counters["misses"] = 99  # a copy: the registry is unmoved
+            assert s.counters["misses"] == 1
+            assert registry.counter("store.misses").value == 1
+
+    def test_concurrent_counting_loses_no_update(self, tmp_path):
+        """More threads than cores, a short switch interval: every
+        miss is counted once."""
+        threads_n, per_thread = 8, 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ArtifactStore(tmp_path / "c.db") as s:
+                def worker():
+                    for _ in range(per_thread):
+                        s.get(KEY)
+                    s.release_connection()
+
+                threads = [threading.Thread(target=worker)
+                           for _ in range(threads_n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60.0)
+                assert not any(t.is_alive() for t in threads)
+                assert s.counters["misses"] == threads_n * per_thread
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_persists_across_reopen(self, tmp_path):
         path = tmp_path / "p.db"

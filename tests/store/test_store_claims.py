@@ -148,8 +148,8 @@ class TestClockSkewTolerance:
         from repro.obs import EventRing, MetricsRegistry
 
         store = ArtifactStore(tmp_path / "s.db", claim_ttl_s=1.0,
-                              claim_poll_s=0.01)
-        store.bind_obs(MetricsRegistry(), EventRing())
+                              claim_poll_s=0.01, metrics=MetricsRegistry(),
+                              events=EventRing())
         self._plant_claim(store, time.time() + 3600.0)
         store.get_or_compute(KEY, lambda: b"x", kind="bound")
         event = store.events.last("store.claim_takeover")
